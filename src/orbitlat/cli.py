@@ -36,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError("expected a worker count of at least 1, got %r" % text)
+    return count
+
+
 def _add_limits(parser, workers_only: bool = False) -> None:
     if not workers_only:
         parser.add_argument(
@@ -46,7 +56,7 @@ def _add_limits(parser, workers_only: bool = False) -> None:
         )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help="worker processes for element streaming and pair scans (default 1)",
     )

@@ -18,9 +18,9 @@ from math import gcd
 
 from .arith import factorize, is_prime_power
 from .errors import CapExceeded
-from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, pi_set, subgroups, _tuple_order
+from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _usable_workers, pi_set, subgroups
 from .partitions import SetPartition, is_chain, join_codes, meet_codes
-from .perms import Permutation, _orbit_rgs
+from .perms import Permutation, _image_order, _orbit_rgs
 
 _REPORT_FIELDS = (
     "group",
@@ -88,8 +88,9 @@ def _closure_witness(pi: PiSet, op_name: str, workers: int = 1):
     """First pair (by code order) whose join/meet escapes the set, or None.
 
     Rows are scanned in order even with several workers, so the witness does
-    not depend on the worker count.
+    not depend on the worker count, which is clamped to the usable CPUs.
     """
+    workers = _usable_workers(workers)
     codes = sorted(pi.codes)
     op = join_codes if op_name == "join" else meet_codes
     m = len(codes)
@@ -116,7 +117,13 @@ def _closure_witness(pi: PiSet, op_name: str, workers: int = 1):
 
 def _has_element_of_full_order(group: PermGroup) -> bool:
     order = group.order
-    return any(_tuple_order(im) == order for im in group.element_images())
+    return any(_image_order(im) == order for im in group.element_images())
+
+
+def _pi_is_chain(pi: PiSet) -> bool:
+    """Whether pi(G) is a chain.  Block counts strictly decrease along a chain
+    of partitions of n points, so a chain has at most n members."""
+    return len(pi) <= pi.degree and is_chain(pi.partitions())
 
 
 def analyze(
@@ -143,7 +150,7 @@ def analyze(
         report.meet_coherent = witness is None
         report.meet_witness = witness
     if chain:
-        report.is_chain = is_chain(pi.partitions())
+        report.is_chain = _pi_is_chain(pi)
     report.ms_elapsed = int((time.monotonic() - t0) * 1000)
     return report
 
@@ -170,8 +177,7 @@ def classify_chain(group: PermGroup, cap: int = DEFAULT_PI_CAP) -> ChainClassifi
     """Whether the orbit partitions form a chain, and the structural test that
     must agree with it for finite groups: prime-power order plus an element
     whose order is the full group order."""
-    pi = pi_set(group, cap=cap)
-    chain = is_chain(pi.partitions())
+    chain = _pi_is_chain(pi_set(group, cap=cap))
     order = group.order
     structural = order == 1 or (is_prime_power(order) and _has_element_of_full_order(group))
     return ChainClassification(chain, structural)

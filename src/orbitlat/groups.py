@@ -12,15 +12,17 @@ wrapper appears only at the public surface.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import lcm
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .arith import is_prime_power
 from .errors import CapExceeded
 from .partitions import SetPartition
-from .perms import Permutation, _compose_images, _invert_images, _orbit_rgs
+from .perms import Permutation, _compose_images, _image_order, _invert_images, _orbit_rgs
 
 DEFAULT_PI_CAP = 20_000_000
 DEFAULT_SUBGROUP_CAP = 10_000
@@ -28,20 +30,19 @@ DEFAULT_SUBGROUP_CAP = 10_000
 # 'fork' keeps worker start cheap and lets shards share the chain read-only.
 _PARALLEL_MIN_ORDER = 200_000
 
+# Largest tail of the stabilizer chain that element_images multiplies out
+# per call: big enough to amortize the head product, small enough to build
+# in about a millisecond.
+_TAIL_MAX = 1024
 
-def _tuple_order(images) -> int:
-    seen = [False] * len(images)
-    orders = [1]
-    for i in range(len(images)):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                length += 1
-                j = images[j]
-            orders.append(length)
-    return lcm(*orders)
+
+def _usable_workers(workers: int) -> int:
+    """The requested worker count, at most the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on macOS and Windows
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 class _Chain:
@@ -156,6 +157,13 @@ class _Chain:
     def element_images(self, shard: tuple[int, int] | None = None) -> Iterator[tuple[int, ...]]:
         """Stream every element exactly once as a product over the transversals.
 
+        The order is deterministic: lexicographic in the sorted transversal
+        points of levels 0, 1, ..., deepest level innermost.  The deepest
+        levels whose product has at most _TAIL_MAX elements (never level 0)
+        form a tail that is multiplied out once per call; every product of
+        the remaining head levels is then composed with each tail element by
+        one `itemgetter` call.
+
         With shard=(k, m), only the cosets of the level-0 transversal whose
         sorted position is congruent to k mod m are produced, so the shards
         over k = 0..m-1 partition the group.
@@ -165,19 +173,27 @@ class _Chain:
                 yield self.identity
             return
 
-        def rec(level):
-            if level == len(self.base):
-                yield self.identity
-                return
-            points = sorted(self.transversal[level])
-            if level == 0 and shard is not None:
-                points = points[shard[0] :: shard[1]]
-            for pt in points:
-                u = self.transversal[level][pt]
-                for h in rec(level + 1):
-                    yield _compose_images(h, u)
+        levels = [[trans[pt] for pt in sorted(trans)] for trans in self.transversal]
+        split = len(levels)
+        size = 1
+        while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:
+            split -= 1
+            size *= len(levels[split])
+        # element[i] = u_0[u_1[...u_last[i]]]; with head p and tail t this is p[t[i]].
+        tail = [self.identity]
+        for reps in reversed(levels[split:]):
+            getters = [itemgetter(*t) for t in tail]
+            tail = [get(u) for u in reps for get in getters]
+        getters = [itemgetter(*t) for t in tail]
 
-        yield from rec(0)
+        if shard is not None:
+            levels[0] = levels[0][shard[0] :: shard[1]]
+        for head in product(*levels[:split]):
+            p = head[0]
+            for u in head[1:]:
+                p = itemgetter(*u)(p)
+            for get in getters:
+                yield get(p)
 
 
 class PermGroup:
@@ -317,8 +333,9 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     Streams the whole group, so the order must not exceed `cap`; the raised
     error reports the cap that would be required.  With workers > 1 the
     element stream is sharded by level-0 coset and merged, which cannot
-    change the resulting set.
+    change the resulting set.  The worker count is clamped to the usable CPUs.
     """
+    workers = _usable_workers(workers)
     order = group.order
     if order > cap:
         raise CapExceeded(
@@ -424,7 +441,7 @@ def subgroups(
 
     cyclics: dict[frozenset, tuple[int, ...]] = {}
     for im in sorted(group.element_images()):
-        if im != identity and is_prime_power(_tuple_order(im)):
+        if im != identity and is_prime_power(_image_order(im)):
             powers = [im]
             while powers[-1] != identity:
                 powers.append(_compose_images(powers[-1], im))

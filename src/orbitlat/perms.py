@@ -48,6 +48,22 @@ def _orbit_rgs(images) -> bytes:
     return bytes(rgs)
 
 
+def _image_order(images) -> int:
+    """Order of the permutation with this image tuple: lcm of its cycle lengths."""
+    seen = [False] * len(images)
+    lengths = [1]
+    for i in range(len(images)):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                length += 1
+                j = images[j]
+            lengths.append(length)
+    return lcm(*lengths)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0..n-1} stored as its tuple of images.
@@ -148,7 +164,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
+        return _image_order(self.images)
 
     def orbit_partition(self) -> SetPartition:
         """The partition of {0..n-1} into this permutation's cycles."""

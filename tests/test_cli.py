@@ -176,3 +176,15 @@ class TestParserBehavior:
             cli.main(argv)
         assert info.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, capsys, count):
+        for argv in (["check", "sym:3"], ["verify-paper"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + ["--workers", count])
+            assert info.value.code == 1
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert errors == [
+                "error: argument --workers: expected a worker count of at least 1, got %r" % count
+            ]

@@ -1,9 +1,11 @@
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbitlat.coherence as coherence
 from orbitlat.coherence import (
     ChainClassification,
     _merge_components,
@@ -18,8 +20,8 @@ from orbitlat.coherence import (
 )
 from orbitlat.constructions import build_group, cyclic_group, symmetric_group
 from orbitlat.errors import CapExceeded
-from orbitlat.groups import PermGroup, subgroups
-from orbitlat.partitions import SetPartition
+from orbitlat.groups import PermGroup, pi_set, subgroups
+from orbitlat.partitions import SetPartition, is_chain
 from orbitlat.perms import Permutation
 
 
@@ -119,6 +121,14 @@ class TestAnalyze:
             analyze(symmetric_group(4), cap=10)
         assert info.value.required == 24
 
+    def test_scan_worker_count_clamped_to_usable_cpus(self, inline_pool):
+        requested = inline_pool(coherence)
+        cpus = len(os.sched_getaffinity(0))
+        group = symmetric_group(6)
+        report = analyze(group, chain=False, workers=cpus + 5)
+        assert report.join_coherent and report.meet_coherent
+        assert requested == ([cpus, cpus] if cpus > 1 else [])
+
 
 class TestClosureAgainstBruteForce:
     def test_all_subgroups_of_sym_4(self):
@@ -135,6 +145,18 @@ class TestChains:
         for sub in subgroups(symmetric_group(4)):
             c = classify_chain(sub)
             assert c.is_chain == c.group_is_cyclic_prime_power
+
+    def test_size_guard_agrees_with_full_chain_test(self):
+        # More members than points cannot form a chain; the guarded verdict
+        # must match the full pairwise test on both sides of the bound.
+        sizes = set()
+        for sub in subgroups(symmetric_group(4)):
+            pi = pi_set(sub)
+            full = is_chain(pi.partitions())
+            assert analyze(sub, join=False, meet=False).is_chain == full
+            assert classify_chain(sub).is_chain == full
+            sizes.add(len(pi) > sub.degree)
+        assert sizes == {False, True}
 
     @pytest.mark.parametrize(
         "spec,expected",

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
+import os
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitlat.constructions import symmetric_group
+import orbitlat.groups as groups
+from orbitlat.constructions import build_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import (
     PermGroup,
@@ -16,6 +19,7 @@ from orbitlat.groups import (
 )
 from orbitlat.partitions import SetPartition
 from orbitlat.perms import Permutation
+from orbitlat.verification import _packaged_group
 
 
 # --- brute-force oracle --------------------------------------------------
@@ -66,12 +70,42 @@ class TestChain:
         for images in itertools.permutations(range(group.degree)):
             assert (Permutation(images) in group) == (images in closure)
 
+    # sha256 over the concatenated image bytes of the stream (first `limit`
+    # elements) of a packaged generator file or a spec, recorded from the
+    # recursive transversal product this stream replaced.  Witness elements
+    # are the first match in stream order, so these pin them too.
+    STREAM_DIGESTS = [
+        ("m11.gens", None, "eafc51936c6490a35fc5849378200c37c3a5ab0890a842fc5493d60b71f4d8a5"),
+        ("psl2_11.gens", None, "0e711ca95d3c435a55d0c699b08000c02dbebdeb55038f4e88dcb8975065f36d"),
+        ("lin:3,4,GL·Frob,lines", None, "fc353d426de04550d7b6fbfc64f595e488259e278ba2731ad111a2e574987246"),
+        ("wr:(sym:3,sym:3)", None, "3aa12ff1000bdd9a97d78f1aafc7f3f0c88143b611fdd31dfc3f9f4dc4656b11"),
+        ("m23.gens", 200_000, "48fcdba0765c4bff1dba0a81b2e1bee6b02a42a87da96441d93fa7533c2f66bd"),
+    ]
+
+    @pytest.mark.parametrize(
+        "source,limit,digest", STREAM_DIGESTS, ids=[source for source, _, _ in STREAM_DIGESTS]
+    )
+    def test_stream_order_is_pinned(self, source, limit, digest):
+        if source.endswith(".gens"):
+            group = _packaged_group(source)
+        else:
+            group = build_group(source)
+        h = hashlib.sha256()
+        for images in itertools.islice(group.element_images(), limit):
+            h.update(bytes(images))
+        assert h.hexdigest() == digest
+
     def test_shards_partition_the_stream(self):
-        group = symmetric_group(5)
-        whole = sorted(group.element_images())
-        for m in (2, 3, 7):
-            parts = [sorted(group.element_images(shard=(k, m))) for k in range(m)]
-            assert sorted(sum(parts, [])) == whole
+        # sym:5 has only level 0 ahead of the precomputed tail; the linear
+        # group's head spans two levels.
+        for group, shard_counts in (
+            (symmetric_group(5), (2, 3, 7)),
+            (build_group("lin:3,4,SL·Frob,lines"), (2, 3)),
+        ):
+            whole = sorted(group.element_images())
+            for m in shard_counts:
+                parts = [sorted(group.element_images(shard=(k, m))) for k in range(m)]
+                assert sorted(sum(parts, [])) == whole
 
     def test_generator_degree_checked(self):
         with pytest.raises(ValueError):
@@ -134,6 +168,14 @@ class TestPiSet:
     def test_workers_do_not_change_result(self):
         group = symmetric_group(5)
         assert pi_set(group, workers=3).codes == pi_set(group).codes
+
+    def test_worker_count_clamped_to_usable_cpus(self, monkeypatch, inline_pool):
+        requested = inline_pool(groups)
+        monkeypatch.setattr(groups, "_PARALLEL_MIN_ORDER", 0)
+        cpus = len(os.sched_getaffinity(0))
+        group = symmetric_group(5)
+        assert pi_set(group, workers=cpus + 5).codes == pi_set(group).codes
+        assert requested == ([cpus] if cpus > 1 else [])
 
 
 class TestBlocks:
