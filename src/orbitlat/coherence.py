@@ -2,9 +2,11 @@
 
 A group is join-coherent when the set of its elements' orbit partitions is
 closed under the lattice join, and meet-coherent for the meet.  Both are
-decided by scanning all pairs of distinct partitions in lexicographic order
-of their canonical codes; the first failing pair found this way is the
-lexicographically least one, which makes failure reports reproducible.
+decided by one serial scan of the pairs of distinct partitions in
+lexicographic order of their canonical codes, which skips the rows (one
+partition against every later one) already settled by the group's symmetry
+or by the single-block partition.  The first failing pair found this way is
+the lexicographically least one, which makes failure reports reproducible.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .arith import factorize, is_prime_power
 from .errors import CapExceeded
-from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _usable_workers, pi_set, subgroups
-from .partitions import SetPartition, is_chain, join_codes, meet_codes
+from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, pi_set, subgroups
+from .partitions import SetPartition, _canonical, is_chain, join_codes, meet_codes
 from .perms import Permutation, _image_order, _orbit_rgs
 
 _REPORT_FIELDS = (
@@ -62,56 +64,36 @@ class CoherenceReport:
         )
 
 
-def _scan_row_serial(codes, codeset, i, op):
-    a = codes[i]
-    for j in range(i + 1, len(codes)):
-        if bytes(op(a, codes[j])) not in codeset:
-            return j
-    return None
-
-
-_SCAN_STATE: tuple | None = None
-
-
-def _scan_init(codes, op_name):
-    global _SCAN_STATE
-    op = join_codes if op_name == "join" else meet_codes
-    _SCAN_STATE = (codes, frozenset(codes), op)
-
-
-def _scan_row_task(i):
-    codes, codeset, op = _SCAN_STATE
-    return _scan_row_serial(codes, codeset, i, op)
-
-
-def _closure_witness(pi: PiSet, op_name: str, workers: int = 1):
+def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: str):
     """First pair (by code order) whose join/meet escapes the set, or None.
 
-    Rows are scanned in order even with several workers, so the witness does
-    not depend on the worker count, which is clamped to the usable CPUs.
+    Rows are scanned in code order, each against every later code, and the
+    scan stops at the first failure, so the witness is the lex-least failing
+    pair.  A row whose code is in `cleared` is skipped: its pairs are known to
+    be closed.  The single-block code starts there (a | 1 = 1, a & 1 = a);
+    after a row passes, its whole orbit under the generators joins it,
+    because pi(G) is G-invariant and join and meet commute with the action.
     """
-    workers = _usable_workers(workers)
-    codes = sorted(pi.codes)
     op = join_codes if op_name == "join" else meet_codes
-    m = len(codes)
-    if workers > 1 and m >= 64:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_scan_init, initargs=(codes, op_name)
-        ) as pool:
-            chunk = max(1, m // (workers * 16))
-            for i, j in enumerate(pool.map(_scan_row_task, range(m), chunksize=chunk)):
-                if j is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return (
-                        SetPartition(tuple(codes[i])),
-                        SetPartition(tuple(codes[j])),
-                    )
-        return None
-    codeset = frozenset(codes)
-    for i in range(m):
-        j = _scan_row_serial(codes, codeset, i, op)
-        if j is not None:
-            return SetPartition(tuple(codes[i])), SetPartition(tuple(codes[j]))
+    codes = sorted(pi.codes)
+    codeset = pi.codes
+    getters = [itemgetter(*g.images) for g in generators]
+    cleared = {bytes(pi.degree)}
+    for i, a in enumerate(codes):
+        if a in cleared:
+            continue
+        for j in range(i + 1, len(codes)):
+            if bytes(op(a, codes[j])) not in codeset:
+                return SetPartition(tuple(a)), SetPartition(tuple(codes[j]))
+        cleared.add(a)
+        frontier = [a]
+        while frontier:
+            x = frontier.pop()
+            for get in getters:
+                y = bytes(_canonical(get(x)))
+                if y not in cleared:
+                    cleared.add(y)
+                    frontier.append(y)
     return None
 
 
@@ -135,36 +117,27 @@ def analyze(
     cap: int = DEFAULT_PI_CAP,
     workers: int = 1,
 ) -> CoherenceReport:
-    """Run the requested coherence checks and assemble one report."""
+    """Run the requested coherence checks and assemble one report.
+
+    `workers` shards only the element stream of pi_set; the scans are serial.
+    """
     t0 = time.monotonic()
     pi = pi_set(group, cap=cap, workers=workers)
     report = CoherenceReport(
         group=description, degree=group.degree, order=pi.source_order, pi_size=len(pi)
     )
     if join:
-        witness = _closure_witness(pi, "join", workers)
+        witness = _closure_witness(pi, group.generators, "join")
         report.join_coherent = witness is None
         report.join_witness = witness
     if meet:
-        witness = _closure_witness(pi, "meet", workers)
+        witness = _closure_witness(pi, group.generators, "meet")
         report.meet_coherent = witness is None
         report.meet_witness = witness
     if chain:
         report.is_chain = _pi_is_chain(pi)
     report.ms_elapsed = int((time.monotonic() - t0) * 1000)
     return report
-
-
-def check_join_coherent(
-    group: PermGroup, description: str = "", cap: int = DEFAULT_PI_CAP, workers: int = 1
-) -> CoherenceReport:
-    return analyze(group, description, join=True, meet=False, chain=False, cap=cap, workers=workers)
-
-
-def check_meet_coherent(
-    group: PermGroup, description: str = "", cap: int = DEFAULT_PI_CAP, workers: int = 1
-) -> CoherenceReport:
-    return analyze(group, description, join=False, meet=True, chain=False, cap=cap, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -233,7 +206,7 @@ def check_subgroup_characterization(group: PermGroup, cap: int = 10_000) -> bool
 
     The subgroup's orbits are computed by component search over the two
     elements' orbit partitions, not by the lattice join, so agreement with
-    check_join_coherent cross-validates both procedures.
+    the join-coherence verdict of analyze cross-validates both procedures.
     """
     if group.order > cap:
         raise CapExceeded(
@@ -365,7 +338,7 @@ def verify_normal_cyclic_classification(n: int, workers: int = 1) -> NormalCycli
     entries = []
     for h in _unit_group_subgroups(n):
         group = _affine_group(n, h)
-        report = check_join_coherent(group, workers=workers)
+        report = analyze(group, meet=False, chain=False, workers=workers)
         entries.append(
             NormalCyclicEntry(
                 multipliers=h,

@@ -421,6 +421,10 @@ def load_generators(path: str) -> PermGroup:
             degree = int(parts[1])
             if degree < 1:
                 raise GeneratorFileError("%s:%d: degree must be positive" % (path, lineno))
+            if degree > DEGREE_CAP:
+                raise GeneratorFileError(
+                    "%s:%d: degree %d exceeds cap %d" % (path, lineno, degree, DEGREE_CAP)
+                )
             continue
         try:
             gens.append(Permutation.from_cycles(text, degree))
@@ -521,13 +525,16 @@ def parse_element_spec(text: str) -> Permutation:
     cycles, at, deg = text.strip().rpartition("@")
     if not at or not deg.strip().isdigit():
         raise GroupSpecError("element spec expects <cycles>@N, got %r" % (text,))
+    degree = int(deg)
+    _check_degree(degree)
     try:
-        return Permutation.from_cycles(cycles.strip(), int(deg))
+        return Permutation.from_cycles(cycles.strip(), degree)
     except ValueError as exc:
         raise GroupSpecError("element spec: %s" % exc) from exc
 
 
 def _build_cent(cycles: str, degree: int) -> PermGroup:
+    _check_degree(degree)
     try:
         g = Permutation.from_cycles(cycles, degree)
     except ValueError as exc:

@@ -44,6 +44,23 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "cent:(1 2)@99999999999"],
+            ["check", "file:GENS"],
+            ["witness-cent", "(1 2)@99999999999", "{1,2}"],
+        ],
+        ids=["cent", "file", "witness-cent"],
+    )
+    def test_oversized_degree_fails_before_allocating(self, capsys, tmp_path, argv):
+        gens = tmp_path / "huge.gens"
+        gens.write_text("degree 99999999999\n(1 2)\n")
+        code, out, err = run(capsys, *(arg.replace("GENS", str(gens)) for arg in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "99999999999 exceeds cap 64" in err
+
     def test_cap_exceeded(self, capsys):
         code, out, err = run(capsys, "check", "sym:8", "--cap", "100")
         assert code == 2 and out == ""

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitlat.coherence as coherence
+import orbitlat.groups as groups
 from orbitlat.coherence import (
     ChainClassification,
     _merge_components,
     analyze,
     census,
-    check_join_coherent,
-    check_meet_coherent,
     check_subgroup_characterization,
     classify_chain,
     find_witness_element,
@@ -79,8 +78,10 @@ class TestAnalyze:
         assert a in parts and b in parts and (a & b) not in parts
 
     def test_witness_is_lex_least(self):
-        for spec in ("alt:4", "alt:5", "dprod:(cyclic:2,cyclic:2)"):
-            group = build_group(spec)
+        # wr:(sym:3,sym:3) fails meet only after rows skipped by symmetry.
+        specs = ("alt:4", "alt:5", "dprod:(cyclic:2,cyclic:2)", "wr:(sym:3,sym:3)")
+        cases = [build_group(spec) for spec in specs] + subgroups(symmetric_group(5))
+        for group in cases:
             report = analyze(group, chain=False)
             parts = brute_pi(group)
             if not report.join_coherent:
@@ -121,21 +122,42 @@ class TestAnalyze:
             analyze(symmetric_group(4), cap=10)
         assert info.value.required == 24
 
-    def test_scan_worker_count_clamped_to_usable_cpus(self, inline_pool):
-        requested = inline_pool(coherence)
+    def test_worker_count_leaves_report_unchanged(self, inline_pool):
+        requested = inline_pool(groups)
         cpus = len(os.sched_getaffinity(0))
         group = symmetric_group(6)
-        report = analyze(group, chain=False, workers=cpus + 5)
+        many = analyze(group, workers=cpus + 5)
+        one = analyze(group, workers=1)
+        many.ms_elapsed = one.ms_elapsed = 0
+        assert many == one
+        assert many.join_coherent and many.meet_coherent
+        assert requested == []
+
+    def test_scan_skips_rows_settled_by_symmetry(self, monkeypatch):
+        # An ordered scan of sym:7's 877 partitions makes 384,126 calls of
+        # each; one row per orbit of the group needs far fewer.
+        calls = {"join": 0, "meet": 0}
+
+        def counted(name, op):
+            def wrapper(a, b):
+                calls[name] += 1
+                return op(a, b)
+
+            return wrapper
+
+        monkeypatch.setattr(coherence, "join_codes", counted("join", coherence.join_codes))
+        monkeypatch.setattr(coherence, "meet_codes", counted("meet", coherence.meet_codes))
+        report = analyze(symmetric_group(7))
         assert report.join_coherent and report.meet_coherent
-        assert requested == ([cpus, cpus] if cpus > 1 else [])
+        assert 0 < calls["join"] < 12_000 and 0 < calls["meet"] < 12_000
 
 
 class TestClosureAgainstBruteForce:
     def test_all_subgroups_of_sym_4(self):
         for sub in subgroups(symmetric_group(4)):
             parts = brute_pi(sub)
-            join = check_join_coherent(sub).join_coherent
-            meet = check_meet_coherent(sub).meet_coherent
+            join = analyze(sub, meet=False, chain=False).join_coherent
+            meet = analyze(sub, join=False, chain=False).meet_coherent
             assert join == brute_closed(parts, lambda a, b: a | b)
             assert meet == brute_closed(parts, lambda a, b: a & b)
 
@@ -224,7 +246,7 @@ class TestSubgroupCharacterization:
         # search, so equality with the lattice check is a real cross-check
         for sub in subgroups(symmetric_group(4)):
             assert check_subgroup_characterization(sub) == bool(
-                check_join_coherent(sub).join_coherent
+                analyze(sub, meet=False, chain=False).join_coherent
             )
 
     def test_cap(self):
