@@ -1,8 +1,9 @@
 """Builders for the permutation group families under study.
 
 Every builder returns a PermGroup with a documented point encoding and
-asserts the expected order via the stabilizer chain, so a wrong generating
-set cannot go unnoticed.  Pair encodings always follow the one convention
+checks the expected order against the stabilizer chain (also under
+``python -O``), so a wrong generating set or a wrong chain cannot go
+unnoticed.  Pair encodings always follow the one convention
 (x, y) -> y*|X| + x, which keeps the copies of X contiguous blocks.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial, gcd, prod
 
 from .arith import factorize, is_prime, multiplicative_order
-from .errors import GeneratorFileError, GroupSpecError
+from .errors import GeneratorFileError, GroupSpecError, PostconditionError
 from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, normalize_projective, projective_points
 from .groups import PermGroup
 from .partitions import SetPartition
@@ -31,6 +32,15 @@ def _check_degree(n: int) -> None:
         raise GroupSpecError("degree %d exceeds cap %d" % (n, DEGREE_CAP))
 
 
+def _checked_order(group: PermGroup, expected: int) -> PermGroup:
+    """Return the group if its chain order is the expected one."""
+    if group.order != expected:
+        raise PostconditionError(
+            "stabilizer chain gives order %d, expected %d" % (group.order, expected)
+        )
+    return group
+
+
 def symmetric_group(n: int) -> PermGroup:
     _check_degree(n)
     gens = []
@@ -39,8 +49,7 @@ def symmetric_group(n: int) -> PermGroup:
     if n >= 3:
         gens.append(Permutation(tuple(range(1, n)) + (0,)))
     group = PermGroup(gens, n)
-    assert group.order == factorial(n)
-    return group
+    return _checked_order(group, factorial(n))
 
 
 def alternating_group(n: int) -> PermGroup:
@@ -55,8 +64,7 @@ def alternating_group(n: int) -> PermGroup:
             # even n: an n-cycle is odd, so cycle the last n-1 points instead
             gens.append(Permutation((0,) + tuple(range(2, n)) + (1,)))
     group = PermGroup(gens, n)
-    assert group.order == (factorial(n) // 2 if n >= 3 else 1)
-    return group
+    return _checked_order(group, factorial(n) // 2 if n >= 3 else 1)
 
 
 def cyclic_group(n: int) -> PermGroup:
@@ -64,8 +72,7 @@ def cyclic_group(n: int) -> PermGroup:
     _check_degree(n)
     gens = [] if n == 1 else [Permutation(tuple((x + 1) % n for x in range(n)))]
     group = PermGroup(gens, n)
-    assert group.order == n
-    return group
+    return _checked_order(group, n)
 
 
 def dihedral_group(n: int) -> PermGroup:
@@ -76,8 +83,7 @@ def dihedral_group(n: int) -> PermGroup:
         gens.append(Permutation(tuple((x + 1) % n for x in range(n))))
         gens.append(Permutation(tuple(-x % n for x in range(n))))
     group = PermGroup(gens, n)
-    assert group.order == (2 * n if n >= 3 else n)
-    return group
+    return _checked_order(group, 2 * n if n >= 3 else n)
 
 
 _NAMED = {
@@ -109,8 +115,7 @@ def direct_sum_action(g: PermGroup, h: PermGroup) -> PermGroup:
     head = tuple(range(dg))
     gens += [Permutation(head + tuple(x + dg for x in p.images)) for p in h.generators]
     group = PermGroup(gens, dg + dh)
-    assert group.order == g.order * h.order
-    return group
+    return _checked_order(group, g.order * h.order)
 
 
 def product_action(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -125,8 +130,7 @@ def product_action(g: PermGroup, h: PermGroup) -> PermGroup:
     for p in h.generators:
         gens.append(Permutation(tuple(p.images[y] * dg + x for y in range(dh) for x in range(dg))))
     group = PermGroup(gens, degree)
-    assert group.order == g.order * h.order
-    return group
+    return _checked_order(group, g.order * h.order)
 
 
 def wreath_imprimitive(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -135,7 +139,7 @@ def wreath_imprimitive(g: PermGroup, h: PermGroup) -> PermGroup:
     The base group is one copy of G per point of Y; generators place a copy
     of G in the first block of each H-orbit (H-conjugation reaches the rest)
     and let H's generators permute the blocks.  The |G|^|Y| * |H| order is
-    asserted, so the generators provably close over the full base group.
+    checked, so the generators provably close over the full base group.
     """
     dg, dh = g.degree, h.degree
     degree = dg * dh
@@ -152,8 +156,7 @@ def wreath_imprimitive(g: PermGroup, h: PermGroup) -> PermGroup:
     for p in h.generators:
         gens.append(Permutation(tuple(p.images[y] * dg + x for y in range(dh) for x in range(dg))))
     group = PermGroup(gens, degree)
-    assert group.order == g.order**dh * h.order
-    return group
+    return _checked_order(group, g.order**dh * h.order)
 
 
 def centralizer_in_sym(g: Permutation) -> PermGroup:
@@ -188,8 +191,7 @@ def centralizer_in_sym(g: Permutation) -> PermGroup:
     for p in gens:
         assert p * g == g * p
     group = PermGroup(gens, n)
-    assert group.order == expected
-    return group
+    return _checked_order(group, expected)
 
 
 def frobenius_cyclic(n: int, r: int) -> PermGroup:
@@ -221,8 +223,7 @@ def frobenius_cyclic(n: int, r: int) -> PermGroup:
     if d > 1:
         gens.append(Permutation(tuple(x * d % n for x in range(n))))
     group = PermGroup(gens, max(n, 1))
-    assert group.order == n * r
-    return group
+    return _checked_order(group, n * r)
 
 
 def gamma_group(p: int, a: int) -> PermGroup:
@@ -238,8 +239,7 @@ def gamma_group(p: int, a: int) -> PermGroup:
         Permutation(tuple(x * r % n for x in range(n))),
     ]
     group = PermGroup(gens, n)
-    assert group.order == p ** (a + 1)
-    return group
+    return _checked_order(group, p ** (a + 1))
 
 
 def gamma_orbit_structure(p: int, a: int, j: int, i: int) -> SetPartition:
@@ -394,8 +394,7 @@ def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
     )
     if variant.endswith("Frob"):
         expected *= field.e
-    assert group.order == expected, (group.order, expected)
-    return group
+    return _checked_order(group, expected)
 
 
 def load_generators(path: str) -> PermGroup:
@@ -454,7 +453,25 @@ class GroupSpec:
     params: tuple
     text: str
 
+    @property
+    def degree(self) -> int | None:
+        """The degree the spec fixes before any build, or None if only a
+        build can tell (frob, gamma, lin, file)."""
+        if self.family in _NAMED:
+            return self.params[0]
+        if self.family == "cent":
+            return self.params[1]
+        if self.family in ("dsum", "dprod", "wr"):
+            left, right = (part.degree for part in self.params)
+            if left is None or right is None:
+                return None
+            return left + right if self.family == "dsum" else left * right
+        return None
+
     def build(self) -> PermGroup:
+        degree = self.degree
+        if degree is not None and degree > DEGREE_CAP:
+            raise GroupSpecError("degree %d exceeds cap %d" % (degree, DEGREE_CAP))
         return _BUILDERS[self.family](*self.params)
 
 

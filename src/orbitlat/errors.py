@@ -12,6 +12,10 @@ class CapExceeded(RuntimeError):
         self.required = required
 
 
+class PostconditionError(RuntimeError):
+    """A computed result contradicts an independently known value."""
+
+
 class CycleNotationError(ValueError):
     """Malformed or out-of-range cycle notation."""
 

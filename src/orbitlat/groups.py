@@ -4,7 +4,10 @@ The chain is the classic Schreier-Sims structure: a list of base points,
 strong generators, and orbit transversals.  All choices (base points, orbit
 breadth-first order, generator order) are deterministic, so group order,
 element streaming order, and every derived result are reproducible across
-runs and machines.
+runs and machines.  Each level stores the inverses of its coset
+representatives, so sifting and orbit extension are single `itemgetter`
+compositions; the chain is the same by value as one built from forward
+representatives.
 
 Elements are handled internally as raw image tuples; the `Permutation`
 wrapper appears only at the public surface.
@@ -49,9 +52,11 @@ class _Chain:
     """Stabilizer chain with incremental deterministic Schreier-Sims.
 
     Level i stores base[i], the strong generators that fix base[:i] and move
-    base[i], and the transversal {point: u} with base[i]^u == point.  New
-    base points are the smallest point moved by the offending element, after
-    any caller-supplied hint prefix.
+    base[i], and the inverse transversal {point: u^-1} over the coset
+    representatives u with base[i]^u == point.  Keeping the inverses makes
+    every sifting step and every orbit extension a single `itemgetter`
+    composition.  New base points are the smallest point moved by the
+    offending element, after any caller-supplied hint prefix.
     """
 
     def __init__(self, degree: int, base_hint: Iterable[int] = ()):
@@ -59,14 +64,14 @@ class _Chain:
         self.identity = tuple(range(degree))
         self.base: list[int] = []
         self.gens: list[list[tuple[int, ...]]] = []
-        self.transversal: list[dict[int, tuple[int, ...]]] = []
+        self.inverse: list[dict[int, tuple[int, ...]]] = []
         for pt in base_hint:
             self._new_level(pt)
 
     def _new_level(self, pt: int):
         self.base.append(pt)
         self.gens.append([])
-        self.transversal.append({pt: self.identity})
+        self.inverse.append({pt: self.identity})
 
     def _level_gens(self, i: int) -> list[tuple[int, ...]]:
         out = []
@@ -80,10 +85,11 @@ class _Chain:
             img = g[self.base[i]]
             if img == self.base[i]:
                 continue
-            u = self.transversal[i].get(img)
-            if u is None:
+            v = self.inverse[i].get(img)
+            if v is None:
                 return g
-            g = _compose_images(g, _invert_images(u))
+            # g moves a point, so the degree is at least 2 and this is a tuple.
+            g = itemgetter(*g)(v)
         return g
 
     def add(self, g):
@@ -113,34 +119,36 @@ class _Chain:
             pass
 
     def _rebuild_orbit(self, i: int):
-        gens_i = self._level_gens(i)
-        trans = {self.base[i]: self.identity}
+        # (u s)^-1 = s^-1 u^-1: prepend each generator's inverse.
+        steps = [(s, itemgetter(*_invert_images(s))) for s in self._level_gens(i)]
+        inv = {self.base[i]: self.identity}
         frontier = [self.base[i]]
         while frontier:
             nxt = []
             for x in sorted(frontier):
-                u = trans[x]
-                for s in gens_i:
+                v = inv[x]
+                for s, s_inv in steps:
                     y = s[x]
-                    if y not in trans:
-                        trans[y] = _compose_images(u, s)
+                    if y not in inv:
+                        inv[y] = s_inv(v)
                         nxt.append(y)
             frontier = nxt
-        self.transversal[i] = trans
+        self.inverse[i] = inv
 
     def _schreier_pass(self, i: int) -> bool:
         self._rebuild_orbit(i)
-        trans = self.transversal[i]
+        inv = self.inverse[i]
         gens_i = self._level_gens(i)
-        for x in sorted(trans):
-            u = trans[x]
+        identity = self.identity
+        for x in sorted(inv):
+            u = itemgetter(*_invert_images(inv[x]))
             for s in gens_i:
-                ux = _compose_images(u, s)
-                w = trans[ux[self.base[i]]]
-                if ux == w:
+                ux = u(s)
+                h = itemgetter(*ux)(inv[s[x]])
+                if h == identity:
                     continue
-                r = self.sift(_compose_images(ux, _invert_images(w)), start=i + 1)
-                if r != self.identity:
+                r = self.sift(h, start=i + 1)
+                if r != identity:
                     j = self._insert(r)
                     for k in range(j, i, -1):
                         self._validate(k)
@@ -150,15 +158,16 @@ class _Chain:
     @property
     def order(self) -> int:
         n = 1
-        for trans in self.transversal:
-            n *= len(trans)
+        for inv in self.inverse:
+            n *= len(inv)
         return n
 
     def element_images(self, shard: tuple[int, int] | None = None) -> Iterator[tuple[int, ...]]:
         """Stream every element exactly once as a product over the transversals.
 
         The order is deterministic: lexicographic in the sorted transversal
-        points of levels 0, 1, ..., deepest level innermost.  The deepest
+        points of levels 0, 1, ..., deepest level innermost.  The stored
+        inverse representatives are inverted back once per call.  The deepest
         levels whose product has at most _TAIL_MAX elements (never level 0)
         form a tail that is multiplied out once per call; every product of
         the remaining head levels is then composed with each tail element by
@@ -173,7 +182,7 @@ class _Chain:
                 yield self.identity
             return
 
-        levels = [[trans[pt] for pt in sorted(trans)] for trans in self.transversal]
+        levels = [[_invert_images(inv[pt]) for pt in sorted(inv)] for inv in self.inverse]
         split = len(levels)
         size = 1
         while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:

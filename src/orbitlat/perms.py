@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 
 from .errors import CycleNotationError
 from .partitions import SetPartition
@@ -18,7 +19,10 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # right action: i -> q[p[i]]
+    # right action: i -> q[p[i]]; itemgetter of fewer than two indices
+    # returns a bare item (or cannot be built), not a tuple.
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import orbitlat.cli as cli
+import orbitlat.groups as groups
 from orbitlat.verification import ClaimResult
 
 
@@ -60,6 +61,19 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "99999999999 exceeds cap 64" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]
+    )
+    def test_combined_degree_fails_before_any_build(self, capsys, monkeypatch, spec):
+        def add(self, g):
+            pytest.fail("a stabilizer chain was built for %s" % spec)
+
+        monkeypatch.setattr(groups._Chain, "add", add)
+        code, out, err = run(capsys, "check", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds cap 64" in err
 
     def test_cap_exceeded(self, capsys):
         code, out, err = run(capsys, "check", "sym:8", "--cap", "100")

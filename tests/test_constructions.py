@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import orbitlat
 from orbitlat.constructions import (
     DEGREE_CAP,
     alternating_group,
@@ -61,6 +66,30 @@ class TestNamedFamilies:
                 build(0)
             with pytest.raises(GroupSpecError):
                 build(DEGREE_CAP + 1)
+
+
+class TestPostconditions:
+    def test_wrong_chain_order_raises_under_optimize(self):
+        # The order check is the independent test of the stabilizer chain,
+        # so it must not vanish with asserts under `python -O`.
+        script = (
+            "import orbitlat.groups as groups\n"
+            "from orbitlat.constructions import symmetric_group\n"
+            "from orbitlat.errors import PostconditionError\n"
+            "groups._Chain.order = property(lambda self: 7)\n"
+            "try:\n"
+            "    symmetric_group(5)\n"
+            "except PostconditionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = str(Path(next(iter(orbitlat.__path__))).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False stabilizer chain gives order 7, expected 120\n"
 
 
 class TestProducts:
@@ -309,6 +338,26 @@ class TestSpecGrammar:
     def test_negative(self, text):
         with pytest.raises(GroupSpecError):
             build_group(text)
+
+    @pytest.mark.parametrize(
+        "text,degree",
+        [
+            ("sym:4", 4),
+            ("cyclic:12", 12),
+            ("dihedral:9", 9),
+            ("cent:(1 2)(3 4)@5", 5),
+            ("dsum:(sym:3,cyclic:2)", 5),
+            ("dprod:(cyclic:2,cyclic:3)", 6),
+            ("wr:(cyclic:2,wr:(cyclic:2,cyclic:2))", 8),
+            ("dsum:(sym:3,frob:7,3)", None),
+            ("frob:7,3", None),
+            ("gamma:2,3", None),
+            ("lin:2,2,GL,points", None),
+            ("file:x.gens", None),
+        ],
+    )
+    def test_degree_known_before_build(self, text, degree):
+        assert parse_group_spec(text).degree == degree
 
     def test_spec_text_preserved(self):
         spec = parse_group_spec("  wr:(sym:3,cyclic:2) ")

@@ -18,7 +18,7 @@ from orbitlat.groups import (
     subgroups,
 )
 from orbitlat.partitions import SetPartition
-from orbitlat.perms import Permutation
+from orbitlat.perms import Permutation, _invert_images
 from orbitlat.verification import _packaged_group
 
 
@@ -93,6 +93,41 @@ class TestChain:
         h = hashlib.sha256()
         for images in itertools.islice(group.element_images(), limit):
             h.update(bytes(images))
+        assert h.hexdigest() == digest
+
+    # sha256 over each level's base point, strong generators and forward
+    # transversal (point, representative) in sorted point order, recorded
+    # from the chain that stored forward representatives.  Raw bytes, not
+    # pickles: pickle output depends on object sharing, not only on values.
+    CHAIN_DIGESTS = [
+        ("sym:30", "cd9ad568d317d28d8b307712be6388be010874b62d4aba191b9ce645bc6f5741"),
+        ("alt:30", "fdc8cad4b4192a49a8880d886b2b5f178f18b7f34aae0851b4ebd38b435961b9"),
+        ("wr:(sym:8,sym:8)", "aa1ab9129503327bc2dc9070206b9a8e297085b8e26598ddfa3d1ebe84d21b7e"),
+        (
+            "cent:(1 2 3 4)(5 6 7 8)(9 10 11 12)(13 14 15 16)@40",
+            "cc7e29dd3198f85e807c0c99b728eb50df80ea0f760d43fee665cdb6b533961e",
+        ),
+        ("m11.gens", "ce3423d5da79796892ebec7625d6a8da685c58f7387c39d2b77012a728295b5e"),
+        ("lin:3,4,GL·Frob,lines", "66a26198d7909f6a6b5b7984f854ff5a8c03e632c525ac60fb0cd41003b93bef"),
+    ]
+
+    @pytest.mark.parametrize(
+        "source,digest", CHAIN_DIGESTS, ids=[source for source, _ in CHAIN_DIGESTS]
+    )
+    def test_chain_is_pinned(self, source, digest):
+        if source.endswith(".gens"):
+            group = _packaged_group(source)
+        else:
+            group = build_group(source)
+        chain = group._chain
+        h = hashlib.sha256()
+        for pt, gens, inverse in zip(chain.base, chain.gens, chain.inverse):
+            h.update(bytes([pt]))
+            for g in gens:
+                h.update(bytes(g))
+            for x in sorted(inverse):
+                h.update(bytes([x]))
+                h.update(bytes(_invert_images(inverse[x])))
         assert h.hexdigest() == digest
 
     def test_shards_partition_the_stream(self):

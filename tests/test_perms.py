@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import CycleNotationError
-from orbitlat.perms import Permutation
+from orbitlat.perms import Permutation, _compose_images
 
 
 def perm(text, n):
@@ -84,6 +86,14 @@ class TestCompose:
         assert p ** 5 == Permutation.identity(5)
         assert p ** -1 == p.inverse()
         assert p ** 7 == p * p * p * p * p * p * p
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_compose_images_exhaustive(self, degree):
+        # degree 1 is where a bare itemgetter would return an int
+        perms = list(itertools.permutations(range(degree)))
+        for p in perms:
+            for q in perms:
+                assert _compose_images(p, q) == tuple(q[i] for i in p)
 
     @given(permutations(), permutations())
     def test_associative_when_same_degree(self, p, q):
