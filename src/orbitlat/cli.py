@@ -58,7 +58,7 @@ def _add_limits(parser, workers_only: bool = False) -> None:
         "--workers",
         type=_worker_count,
         default=1,
-        help="worker processes for element streaming and pair scans (default 1)",
+        help="worker processes for element streaming (default 1)",
     )
 
 

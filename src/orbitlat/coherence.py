@@ -99,7 +99,7 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
 
 def _has_element_of_full_order(group: PermGroup) -> bool:
     order = group.order
-    return any(_image_order(im) == order for im in group.element_images())
+    return group.first_element(lambda im: _image_order(im) == order) is not None
 
 
 def _pi_is_chain(pi: PiSet) -> bool:
@@ -167,58 +167,7 @@ def find_witness_element(
             "group order %d exceeds cap %d" % (group.order, cap), required=group.order
         )
     want = partition.code()
-    for im in group.element_images():
-        if _orbit_rgs(im) == want:
-            return Permutation(im)
-    return None
-
-
-def _merge_components(a: bytes, b: bytes) -> bytes:
-    """Orbit partition of the group generated by two partitions' relations,
-    by breadth-first search over shared blocks.  This is deliberately an
-    independent route from the disjoint-set join, used to cross-validate it."""
-    n = len(a)
-    blocks_a: dict[int, list[int]] = {}
-    blocks_b: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks_a.setdefault(a[i], []).append(i)
-        blocks_b.setdefault(b[i], []).append(i)
-    label = [-1] * n
-    nxt = 0
-    for start in range(n):
-        if label[start] < 0:
-            label[start] = nxt
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for bucket in (blocks_a[a[x]], blocks_b[b[x]]):
-                    for y in bucket:
-                        if label[y] < 0:
-                            label[y] = nxt
-                            queue.append(y)
-            nxt += 1
-    return bytes(label)
-
-
-def check_subgroup_characterization(group: PermGroup, cap: int = 10_000) -> bool:
-    """True iff every two-generated subgroup's orbit partition is realized by
-    a single element.
-
-    The subgroup's orbits are computed by component search over the two
-    elements' orbit partitions, not by the lattice join, so agreement with
-    the join-coherence verdict of analyze cross-validates both procedures.
-    """
-    if group.order > cap:
-        raise CapExceeded(
-            "group order %d exceeds cap %d" % (group.order, cap), required=group.order
-        )
-    pi = pi_set(group)
-    codes = sorted(pi.codes)
-    for i, a in enumerate(codes):
-        for b in codes[i:]:
-            if _merge_components(a, b) not in pi.codes:
-                return False
-    return True
+    return group.first_element(lambda im: _orbit_rgs(im) == want)
 
 
 # --- classification of groups with a regular normal cyclic subgroup --------

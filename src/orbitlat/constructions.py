@@ -16,7 +16,6 @@ from .arith import factorize, is_prime, multiplicative_order
 from .errors import GeneratorFileError, GroupSpecError, PostconditionError
 from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, normalize_projective, projective_points
 from .groups import PermGroup
-from .partitions import SetPartition
 from .perms import Permutation
 
 DEGREE_CAP = 64
@@ -86,20 +85,7 @@ def dihedral_group(n: int) -> PermGroup:
     return _checked_order(group, 2 * n if n >= 3 else n)
 
 
-_NAMED = {
-    "sym": symmetric_group,
-    "alt": alternating_group,
-    "cyclic": cyclic_group,
-    "dihedral": dihedral_group,
-}
-
-
-def build_named(family: str, n: int) -> PermGroup:
-    try:
-        builder = _NAMED[family]
-    except KeyError:
-        raise GroupSpecError("unknown named family %r" % (family,)) from None
-    return builder(n)
+_NAMED = ("sym", "alt", "cyclic", "dihedral")
 
 
 def direct_sum_action(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -189,7 +175,8 @@ def centralizer_in_sym(g: Permutation) -> PermGroup:
                 images[b[e]] = a[e]
             gens.append(Permutation(tuple(images)))
     for p in gens:
-        assert p * g == g * p
+        if p * g != g * p:
+            raise PostconditionError("centralizer generator %s does not commute with %s" % (p, g))
     group = PermGroup(gens, n)
     return _checked_order(group, expected)
 
@@ -216,7 +203,8 @@ def frobenius_cyclic(n: int, r: int) -> PermGroup:
         ):
             d = cand
             break
-    assert d is not None, "CRT guarantees a valid multiplier"
+    if d is None:
+        raise PostconditionError("no multiplier of order %d modulo %d" % (r, n))
     gens = []
     if n > 1:
         gens.append(Permutation(tuple((x + 1) % n for x in range(n))))
@@ -240,55 +228,6 @@ def gamma_group(p: int, a: int) -> PermGroup:
     ]
     group = PermGroup(gens, n)
     return _checked_order(group, p ** (a + 1))
-
-
-def gamma_orbit_structure(p: int, a: int, j: int, i: int) -> SetPartition:
-    """Predicted orbit partition of x -> (p^(a-1)+1)^j x + i on Z_{p^a}.
-
-    The prediction follows the case split on b = v_p(i): when the map is a
-    translation or b < a-1 the orbits are the cosets of <p^b>; otherwise the
-    fixed points form one congruence class mod p, split into singletons, and
-    every other coset of <p^(a-1)> is a single orbit.  The one exception is
-    p^a = 4 with j odd and i odd, where the map is the reflection x -> i - x
-    and the orbits are the reflection pairs {x, i-x}; the coset description
-    fails there because (p^(a-1)+1)^j = -1 already at the first power.  The
-    function checks the prediction against the actual orbit partition before
-    returning it.
-    """
-    if not is_prime(p) or a < 2:
-        raise GroupSpecError("need a prime p and a >= 2, got p=%r a=%r" % (p, a))
-    n = p**a
-    if n > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (n, DEGREE_CAP))
-    r = p ** (a - 1) + 1
-    j %= p
-    i %= n
-    if i == 0:
-        b = a
-    else:
-        b = 0
-        while i % p ** (b + 1) == 0:
-            b += 1
-    if p == 2 and a == 2 and j and b == 0:
-        blocks = [[x, (i - x) % 4] for x in range(4) if x < (i - x) % 4]
-    elif j == 0 or b < a - 1:
-        step = p**b
-        blocks = [range(c, n, step) for c in range(step)]
-    else:
-        k = i // p ** (a - 1)
-        c = -k * pow(j, -1, p) % p
-        step = p ** (a - 1)
-        blocks = []
-        for x in range(step):
-            coset = range(x, n, step)
-            if x % p == c:
-                blocks.extend([pt] for pt in coset)
-            else:
-                blocks.append(coset)
-    predicted = SetPartition.from_blocks(blocks, n)
-    actual = Permutation(tuple((pow(r, j, n) * x + i) % n for x in range(n))).orbit_partition()
-    assert predicted == actual, "orbit case analysis disagrees with direct computation"
-    return predicted
 
 
 def _mat_vec(field, v, m):
@@ -413,7 +352,7 @@ def load_generators(path: str) -> PermGroup:
             continue
         if degree is None:
             parts = text.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
                 raise GeneratorFileError(
                     "%s:%d: expected 'degree n' header, got %r" % (path, lineno, text)
                 )
@@ -514,9 +453,9 @@ def parse_group_spec(text: str) -> GroupSpec:
         return GroupSpec(family, (parse_group_spec(left), parse_group_spec(right)), stripped)
     if family == "cent":
         cycles, at, deg = body.rpartition("@")
-        if not at or not deg.strip().isdigit():
+        if not at or not deg.strip().isdecimal():
             raise GroupSpecError("cent expects <cycles>@N, got %r" % (body,))
-        return GroupSpec(family, (cycles.strip(), int(deg)), stripped)
+        return GroupSpec(family, (cycles.strip(), *_int_params(deg, 1, family)), stripped)
     if family == "frob":
         return GroupSpec(family, _int_params(body, 2, family), stripped)
     if family == "gamma":
@@ -540,9 +479,9 @@ def parse_group_spec(text: str) -> GroupSpec:
 def parse_element_spec(text: str) -> Permutation:
     """Parse ``<cycles>@N`` into a permutation of degree N."""
     cycles, at, deg = text.strip().rpartition("@")
-    if not at or not deg.strip().isdigit():
+    if not at or not deg.strip().isdecimal():
         raise GroupSpecError("element spec expects <cycles>@N, got %r" % (text,))
-    degree = int(deg)
+    (degree,) = _int_params(deg, 1, "element spec")
     _check_degree(degree)
     try:
         return Permutation.from_cycles(cycles.strip(), degree)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
+from .errors import PostconditionError
+
 # top coefficients of the monic reducing polynomial, little-endian
 _IRREDUCIBLE = {
     4: (1, 1),  # t^2 = t + 1 over GF(2)
@@ -168,7 +170,8 @@ def projective_points(d: int, q: int) -> list[tuple[int, ...]]:
     """One representative per line through 0: first nonzero coordinate is 1,
     listed in lexicographic order."""
     pts = [v for v in vectors(d, q) if next((c for c in v if c), None) == 1]
-    assert len(pts) == (q**d - 1) // (q - 1)
+    if len(pts) != (q**d - 1) // (q - 1):
+        raise PostconditionError("%d projective points in GF(%d)^%d" % (len(pts), q, d))
     return pts
 
 

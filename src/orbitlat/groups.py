@@ -245,6 +245,13 @@ class PermGroup:
     def element_images(self, shard=None) -> Iterator[tuple[int, ...]]:
         return self._chain.element_images(shard)
 
+    def first_element(self, test) -> Permutation | None:
+        """The first element in stream order whose image tuple passes `test`."""
+        for im in self._chain.element_images():
+            if test(im):
+                return Permutation(im)
+        return None
+
     def elements(self) -> Iterator[Permutation]:
         """All elements in deterministic stream order, each exactly once."""
         for im in self._chain.element_images():
@@ -278,25 +285,6 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
-
-    def is_semiregular(self) -> bool:
-        order = self.order
-        return all(len(o) == order for o in self.orbits())
-
-    def point_stabilizer(self, point: int) -> PermGroup:
-        """The subgroup fixing the given point.
-
-        Rebuilding the chain with the point as first base element makes the
-        deeper strong generators a generating set of the stabilizer.
-        """
-        if not 0 <= point < self.degree:
-            raise ValueError("point %d outside 0..%d" % (point, self.degree - 1))
-        chain = _Chain(self.degree, base_hint=(point,))
-        for g in self.generators:
-            if not g.is_identity():
-                chain.add(g.images)
-        gens = [Permutation(im) for im in chain._level_gens(1)]
-        return PermGroup(gens, self.degree)
 
     def __repr__(self) -> str:
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -361,52 +349,6 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     else:
         codes = {_orbit_rgs(im) for im in group.element_images()}
     return PiSet(group.degree, frozenset(codes), order)
-
-
-def set_stabilizer_of_blocks(
-    group: PermGroup, blocks: SetPartition, cap: int = DEFAULT_SUBGROUP_CAP
-) -> PermGroup:
-    """Subgroup of elements fixing every block of the partition setwise.
-
-    Found by filtering the element stream, so the group order is capped.
-    """
-    if blocks.degree != group.degree:
-        raise ValueError("partition degree mismatch")
-    if group.order > cap:
-        raise CapExceeded(
-            "group order %d exceeds stream cap %d" % (group.order, cap), required=group.order
-        )
-    rgs = blocks.rgs
-    chain = _Chain(group.degree)
-    gens: list[Permutation] = []
-    for im in group.element_images():
-        if all(rgs[im[i]] == rgs[i] for i in range(group.degree)):
-            if chain.sift(im) != chain.identity:
-                chain.add(im)
-                gens.append(Permutation(im))
-    return PermGroup(gens, group.degree)
-
-
-def induced_block_action(group: PermGroup, blocks: SetPartition) -> PermGroup:
-    """The action induced on the blocks of an invariant partition.
-
-    Block k is the k-th block in least-element order.  Raises ValueError if
-    some generator fails to permute the blocks.
-    """
-    if blocks.degree != group.degree:
-        raise ValueError("partition degree mismatch")
-    rgs = blocks.rgs
-    reps = {}
-    for i, lab in enumerate(rgs):
-        reps.setdefault(lab, i)
-    images = []
-    for g in group.generators:
-        im = [rgs[g.images[reps[lab]]] for lab in range(blocks.block_count)]
-        for i, lab in enumerate(rgs):
-            if rgs[g.images[i]] != im[lab]:
-                raise ValueError("partition is not invariant under %s" % g)
-        images.append(Permutation(tuple(im)))
-    return PermGroup(images, blocks.block_count)
 
 
 def _mulclose(gens, degree: int, limit: int | None = None):

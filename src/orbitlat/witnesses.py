@@ -3,17 +3,21 @@
 Given a target partition, decide whether it is the orbit partition of some
 element of an imprimitive wreath product or of a symmetric-group centralizer,
 and when it is, actually produce such an element.  Both builders follow the
-constructive halves of the corresponding proofs step by step, then assert
-their postconditions, so a slip in the bookkeeping cannot survive testing.
+constructive halves of the corresponding proofs step by step, then check
+their postconditions (also under ``python -O``), so a slip in the
+bookkeeping cannot go unnoticed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .groups import PermGroup
-from .partitions import SetPartition, _canonical
-from .perms import Permutation, _orbit_rgs
+from .coherence import find_witness_element
+from .errors import PostconditionError
+from .groups import PermGroup, pi_set
+from .partitions import SetPartition, _canonical, join_codes
+from .perms import Permutation, _compose_images
 
 
 @dataclass(frozen=True)
@@ -36,52 +40,31 @@ class WreathConditions:
         return self.c1 and self.c2 and self.c4
 
 
-_pi_code_cache: dict[tuple, frozenset[bytes]] = {}
+@lru_cache(maxsize=16)
+def _factor_codes(group: PermGroup) -> frozenset[bytes]:
+    """pi(G) of a wreath factor, kept for the last few factor groups.  The
+    key is the group object itself (PermGroup compares by identity)."""
+    return pi_set(group, cap=group.order).codes
 
 
-def _pi_codes(group: PermGroup) -> frozenset[bytes]:
-    key = (group.degree, tuple(p.images for p in group.generators))
-    got = _pi_code_cache.get(key)
-    if got is None:
-        got = frozenset(_orbit_rgs(im) for im in group.element_images())
-        _pi_code_cache[key] = got
-    return got
-
-
-def _find_by_code(group: PermGroup, code: bytes) -> Permutation | None:
-    """First element in stream order with the given orbit-partition code."""
-    for im in group.element_images():
-        if _orbit_rgs(im) == code:
-            return Permutation(im)
-    return None
+def _realizing(group: PermGroup, partition: SetPartition) -> Permutation:
+    """The first element of the group whose orbit partition is the given one,
+    which the criterion has already shown to exist."""
+    found = find_witness_element(group, partition, cap=group.order)
+    if found is None:
+        raise PostconditionError("no element of the factor realizes %s" % partition)
+    return found
 
 
 def induced_block_partition(partition: SetPartition, block_size: int) -> SetPartition:
     """The partition of {0..k-1} joining y and z when some part meets both
-    contiguous blocks [y*s, (y+1)*s) and [z*s, (z+1)*s); closed transitively."""
-    labels = partition.rgs
-    count = partition.degree // block_size
-    parent = list(range(count))
+    contiguous blocks [y*s, (y+1)*s) and [z*s, (z+1)*s); closed transitively.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    touched: dict[int, int] = {}
-    for pt, lab in enumerate(labels):
-        y = pt // block_size
-        if lab in touched:
-            ra, rb = find(touched[lab]), find(y)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-            touched[lab] = ra
-        else:
-            touched[lab] = y
-    return SetPartition(_canonical([find(y) for y in range(count)]))
+    It is the join of the partition with the block system, read at the
+    first point of each block."""
+    blocks = [pt // block_size for pt in range(partition.degree)]
+    joined = join_codes(partition.rgs, blocks)
+    return SetPartition(_canonical(joined[::block_size]))
 
 
 def restricted_partition(partition: SetPartition, block: int, block_size: int) -> SetPartition:
@@ -92,11 +75,9 @@ def restricted_partition(partition: SetPartition, block: int, block_size: int) -
 
 def _translation(g_group: PermGroup, labels, dx: int, y: int, z: int) -> Permutation | None:
     """First c in G with (x, y) ~ (x c, z) for every x, if one exists."""
-    ybase, zbase = y * dx, z * dx
-    for im in g_group.element_images():
-        if all(labels[ybase + x] == labels[zbase + im[x]] for x in range(dx)):
-            return Permutation(im)
-    return None
+    at_y = labels[y * dx : (y + 1) * dx]
+    at_z = labels[z * dx : (z + 1) * dx]
+    return g_group.first_element(lambda im: _compose_images(im, at_z) == at_y)
 
 
 def wreath_partition_conditions(
@@ -110,8 +91,8 @@ def wreath_partition_conditions(
             "partition degree %d does not match %d x %d" % (partition.degree, dx, dy)
         )
     tilde = induced_block_partition(partition, dx)
-    c1 = tilde.code() in _pi_codes(h_group)
-    g_codes = _pi_codes(g_group)
+    c1 = tilde.code() in _factor_codes(h_group)
+    g_codes = _factor_codes(g_group)
     c2 = all(
         restricted_partition(partition, y, dx).code() in g_codes for y in range(dy)
     )
@@ -146,8 +127,7 @@ def build_wreath_element(
     dx, dy = g_group.degree, h_group.degree
     labels = partition.rgs
     tilde = induced_block_partition(partition, dx)
-    h = _find_by_code(h_group, tilde.code())
-    assert h is not None
+    h = _realizing(h_group, tilde)
 
     seen = [False] * dy
     f_parts: dict[int, Permutation] = {}
@@ -165,13 +145,13 @@ def build_wreath_element(
         trans = []
         for t in range(m):
             c = _translation(g_group, labels, dx, orbit[t], orbit[(t + 1) % m])
-            assert c is not None
+            if c is None:
+                raise PostconditionError("no translation from block %d" % orbit[t])
             trans.append(c)
         b = Permutation.identity(dx)
         for c in trans:
             b = b * c
-        g_rep = _find_by_code(g_group, restricted_partition(partition, start, dx).code())
-        assert g_rep is not None
+        g_rep = _realizing(g_group, restricted_partition(partition, start, dx))
         trans[0] = g_rep * b.inverse() * trans[0]
         for t, y in enumerate(orbit):
             f_parts[y] = trans[t]
@@ -185,9 +165,10 @@ def build_wreath_element(
     k = Permutation(tuple(images))
 
     for y in range(dy):
-        base = min(k(y * dx + x) // dx for x in range(dx))
-        assert all(k(y * dx + x) // dx == base for x in range(dx)), "block system broken"
-    assert k.orbit_partition() == partition
+        if len({k(y * dx + x) // dx for x in range(dx)}) != 1:
+            raise PostconditionError("constructed element breaks block %d" % y)
+    if k.orbit_partition() != partition:
+        raise PostconditionError("constructed element does not realize %s" % partition)
     return k
 
 
@@ -242,7 +223,8 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
         while current != p0:
             t += 1
             current = {g(pt) for pt in current}
-        assert 1 <= t <= m and m % t == 0
+        if not (t <= m and m % t == 0):
+            raise PostconditionError("shift %d does not divide cycle length %d" % (t, m))
 
         reps = []
         seen_cycles = set()
@@ -251,7 +233,8 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
             if ci not in seen_cycles:
                 seen_cycles.add(ci)
                 reps.append(pt)
-        assert {cycle_index[pt][0] for pt in part} == seen_cycles
+        if {cycle_index[pt][0] for pt in part} != seen_cycles:
+            raise PostconditionError("chosen part misses a g-cycle of its join part")
 
         for j, rep in enumerate(reps):
             cycle = cycles[cycle_index[rep][0]]
@@ -269,6 +252,8 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
                 images[src] = nxt_cycle[(nxt_base + e + shift) % m]
 
     h = Permutation(tuple(images))
-    assert h * g == g * h, "constructed element does not commute"
-    assert h.orbit_partition() == partition
+    if h * g != g * h:
+        raise PostconditionError("constructed element does not commute with %s" % g)
+    if h.orbit_partition() != partition:
+        raise PostconditionError("constructed element does not realize %s" % partition)
     return h

@@ -63,6 +63,24 @@ class TestCheck:
         assert "99999999999 exceeds cap 64" in err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "cent:(1 2)@²"], "cent expects <cycles>@N, got '(1 2)@²'"),
+            (["check", "file:GENS"], "expected 'degree n' header, got 'degree ²'"),
+            (["witness-cent", "(1 2)@²", "{1,2}"], "element spec expects <cycles>@N"),
+        ],
+        ids=["cent", "file", "witness-cent"],
+    )
+    def test_non_decimal_degree_is_a_typed_error(self, capsys, tmp_path, argv, message):
+        # "²" is a digit to str.isdigit but not a decimal int() can read.
+        gens = tmp_path / "square.gens"
+        gens.write_text("degree ²\n(1 2)\n")
+        code, out, err = run(capsys, *(arg.replace("GENS", str(gens)) for arg in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
         "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]
     )
     def test_combined_degree_fails_before_any_build(self, capsys, monkeypatch, spec):

@@ -9,10 +9,8 @@ import orbitlat.coherence as coherence
 import orbitlat.groups as groups
 from orbitlat.coherence import (
     ChainClassification,
-    _merge_components,
     analyze,
     census,
-    check_subgroup_characterization,
     classify_chain,
     find_witness_element,
     verify_normal_cyclic_classification,
@@ -20,8 +18,9 @@ from orbitlat.coherence import (
 from orbitlat.constructions import build_group, cyclic_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
-from orbitlat.partitions import SetPartition, is_chain
+from orbitlat.partitions import SetPartition, is_chain, join_codes
 from orbitlat.perms import Permutation
+from orbitlat.verification import _join_oracle, _meet_oracle
 
 
 def brute_pi(group):
@@ -154,12 +153,13 @@ class TestAnalyze:
 
 class TestClosureAgainstBruteForce:
     def test_all_subgroups_of_sym_4(self):
+        # The oracles share no code with join_codes/meet_codes.
         for sub in subgroups(symmetric_group(4)):
             parts = brute_pi(sub)
             join = analyze(sub, meet=False, chain=False).join_coherent
             meet = analyze(sub, join=False, chain=False).meet_coherent
-            assert join == brute_closed(parts, lambda a, b: a | b)
-            assert meet == brute_closed(parts, lambda a, b: a & b)
+            assert join == brute_closed(parts, _join_oracle)
+            assert meet == brute_closed(parts, _meet_oracle)
 
 
 class TestChains:
@@ -220,6 +220,9 @@ class TestWitnessElement:
 
 
 class TestMergeComponents:
+    """join_codes, the one disjoint-set union, against the transitive-closure
+    oracle of verification."""
+
     @given(st.tuples(partitions_st, partitions_st))
     @settings(max_examples=200, deadline=None)
     def test_matches_lattice_join(self, pair):
@@ -227,31 +230,39 @@ class TestMergeComponents:
         b = to_partition(pair[1])
         if a.degree != b.degree:
             return
-        assert _merge_components(a.code(), b.code()) == (a | b).code()
+        assert SetPartition(join_codes(a.rgs, b.rgs)) == _join_oracle(a, b)
 
     def test_identity_cases(self):
         d = SetPartition.discrete(5)
         s = SetPartition.single_block(5)
-        assert _merge_components(d.code(), s.code()) == s.code()
-        assert _merge_components(d.code(), d.code()) == d.code()
+        assert join_codes(d.rgs, s.rgs) == s.rgs
+        assert join_codes(d.rgs, d.rgs) == d.rgs
 
 
 class TestSubgroupCharacterization:
+    """G is join-coherent iff the orbit partition of every subgroup generated
+    by two elements is the orbit partition of one element.  The subgroup's
+    orbits come from its generators, not from a lattice join."""
+
+    @staticmethod
+    def two_generated_realized(group):
+        reps = {}
+        for p in group.elements():
+            reps.setdefault(p.orbit_partition(), p)
+        return all(
+            PermGroup([a, b]).orbit_partition() in reps
+            for a, b in itertools.combinations_with_replacement(reps.values(), 2)
+        )
+
     def test_positive_and_negative(self):
-        assert check_subgroup_characterization(symmetric_group(4))
-        assert not check_subgroup_characterization(build_group("alt:4"))
+        assert self.two_generated_realized(symmetric_group(4))
+        assert not self.two_generated_realized(build_group("alt:4"))
 
     def test_agreement_with_join_coherence(self):
-        # the two-generated-subgroup property is computed by component
-        # search, so equality with the lattice check is a real cross-check
         for sub in subgroups(symmetric_group(4)):
-            assert check_subgroup_characterization(sub) == bool(
+            assert self.two_generated_realized(sub) == bool(
                 analyze(sub, meet=False, chain=False).join_coherent
             )
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            check_subgroup_characterization(symmetric_group(4), cap=10)
 
 
 class TestNormalCyclicClassification:

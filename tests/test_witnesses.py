@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+import orbitlat.coherence as coherence
+import orbitlat.groups as groups
+import orbitlat.witnesses as witnesses
 from orbitlat.constructions import (
     build_group,
     centralizer_in_sym,
+    cyclic_group,
     symmetric_group,
     wreath_imprimitive,
 )
@@ -144,3 +148,65 @@ class TestWreathWitness:
             assert conditions.overall
             k = build_wreath_element(part, g, h)
             assert k in wreath and k.orbit_partition() == part
+
+
+class TestFactorCodes:
+    """The wreath criterion reads each factor's pi-set from a small cache."""
+
+    def test_each_factor_streamed_once(self, monkeypatch):
+        witnesses._factor_codes.cache_clear()
+        streamed = []
+
+        def counted(group, cap, workers=1):
+            streamed.append(group)
+            return pi_set(group, cap=cap, workers=workers)
+
+        monkeypatch.setattr(witnesses, "pi_set", counted)
+        g, h = build_group("sym:3"), build_group("sym:3")
+        for part in all_partitions(9):
+            if wreath_partition_conditions(part, g, h).overall:
+                build_wreath_element(part, g, h)
+        assert sorted(map(id, streamed)) == sorted([id(g), id(h)])
+
+    def test_cache_is_bounded(self):
+        witnesses._factor_codes.cache_clear()
+        h = cyclic_group(2)
+        for _ in range(20):
+            g = cyclic_group(2)
+            assert wreath_partition_conditions(SetPartition.discrete(4), g, h).overall
+        assert witnesses._factor_codes.cache_info().currsize == 16
+
+    def test_factor_order_above_the_default_cap(self, monkeypatch):
+        # The witness paths stream a factor whatever its order: witness-wreath
+        # has no --cap, so a factor above the default cap is still decided.
+        monkeypatch.setattr(groups.pi_set, "__defaults__", (10, 1))
+        monkeypatch.setattr(coherence.find_witness_element, "__defaults__", (10,))
+        witnesses._factor_codes.cache_clear()
+        g, h = symmetric_group(4), cyclic_group(2)
+        part = SetPartition.from_blocks([[0, 1, 2, 3], [4, 5], [6], [7]], 8)
+        assert wreath_partition_conditions(part, g, h).overall
+        assert build_wreath_element(part, g, h).orbit_partition() == part
+
+
+class TestPostconditions:
+    def test_wrong_witness_raises_under_optimize(self, run_optimized):
+        # The builders check their result explicitly, so a wrong element from
+        # the search is caught even when asserts are stripped by `python -O`.
+        script = (
+            "import orbitlat.witnesses as witnesses\n"
+            "from orbitlat.constructions import cyclic_group\n"
+            "from orbitlat.errors import PostconditionError\n"
+            "from orbitlat.partitions import SetPartition\n"
+            "from orbitlat.perms import Permutation\n"
+            "witnesses.find_witness_element = (\n"
+            "    lambda group, partition, cap: Permutation.identity(group.degree)\n"
+            ")\n"
+            "c2 = cyclic_group(2)\n"
+            "try:\n"
+            "    witnesses.build_wreath_element(SetPartition.single_block(4), c2, c2)\n"
+            "except PostconditionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        done = run_optimized(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False constructed element does not realize {1,2,3,4}\n"
