@@ -10,6 +10,7 @@ unnoticed.  Pair encodings always follow the one convention
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .arith import factorize, is_prime, multiplicative_order
@@ -19,6 +20,12 @@ from .groups import PermGroup
 from .perms import Permutation
 
 DEGREE_CAP = 64
+
+# Deepest parenthesis nesting a spec may have, checked before parsing
+# recurses into a dsum/dprod/wr pair.  Each pair level adds a point or
+# multiplies the degree, so a deeper spec within DEGREE_CAP only repeats
+# trivial factors.
+SPEC_DEPTH_CAP = DEGREE_CAP
 
 LINEAR_VARIANTS = ("GL", "SL", "GL·Frob", "SL·Frob")
 LINEAR_ACTIONS = ("points", "lines", "hyperplanes")
@@ -356,6 +363,13 @@ def load_generators(path: str) -> PermGroup:
                 raise GeneratorFileError(
                     "%s:%d: expected 'degree n' header, got %r" % (path, lineno, text)
                 )
+            # int() refuses more than 4,300 digits, so count them first.
+            digits = parts[1].lstrip("0")
+            if len(digits) > len(str(DEGREE_CAP)):
+                shown = digits if len(digits) <= 20 else "of %d digits" % len(digits)
+                raise GeneratorFileError(
+                    "%s:%d: degree %s exceeds cap %d" % (path, lineno, shown, DEGREE_CAP)
+                )
             degree = int(parts[1])
             if degree < 1:
                 raise GeneratorFileError("%s:%d: degree must be positive" % (path, lineno))
@@ -417,6 +431,8 @@ class GroupSpec:
 def _split_pair(body: str, context: str) -> tuple[str, str]:
     if not (body.startswith("(") and body.endswith(")")):
         raise GroupSpecError("%s expects (spec,spec), got %r" % (context, body))
+    if max(accumulate((ch == "(") - (ch == ")") for ch in body)) > SPEC_DEPTH_CAP:
+        raise GroupSpecError("%s: spec nested deeper than %d levels" % (context, SPEC_DEPTH_CAP))
     inner = body[1:-1]
     depth = 0
     for pos, ch in enumerate(inner):

@@ -57,6 +57,14 @@ class _Chain:
     every sifting step and every orbit extension a single `itemgetter`
     composition.  New base points are the smallest point moved by the
     offending element, after any caller-supplied hint prefix.
+
+    A Schreier pass skips a pair (x, s) that the last complete pass of its
+    level already proved: same generator s (by id; generators are never
+    removed) and the same representatives at x and s[x].  That Schreier
+    generator is then the same element, a member of the next level then
+    and still, because deeper levels only grow.  Every pair that can fail
+    is still sifted in the same order, so the chain is the same by value
+    as one whose passes sift every pair.
     """
 
     def __init__(self, degree: int, base_hint: Iterable[int] = ()):
@@ -65,6 +73,9 @@ class _Chain:
         self.base: list[int] = []
         self.gens: list[list[tuple[int, ...]]] = []
         self.inverse: list[dict[int, tuple[int, ...]]] = []
+        # Per level: ids of the generators and the inverse transversal of
+        # the last complete Schreier pass.
+        self.proved: list[tuple[set[int], dict[int, tuple[int, ...]]]] = []
         for pt in base_hint:
             self._new_level(pt)
 
@@ -72,6 +83,7 @@ class _Chain:
         self.base.append(pt)
         self.gens.append([])
         self.inverse.append({pt: self.identity})
+        self.proved.append((set(), {}))
 
     def _level_gens(self, i: int) -> list[tuple[int, ...]]:
         out = []
@@ -114,7 +126,9 @@ class _Chain:
     def _validate(self, i: int):
         """Restore the chain condition at level i, assuming deeper levels hold:
         the orbit of base[i] is closed and every Schreier generator sifts to
-        the identity through the rest of the chain."""
+        the identity through the rest of the chain.  Passes are repeated
+        until one completes; each sifts only the Schreier generators that the
+        last complete pass of this level did not prove."""
         while not self._schreier_pass(i):
             pass
 
@@ -139,10 +153,14 @@ class _Chain:
         self._rebuild_orbit(i)
         inv = self.inverse[i]
         gens_i = self._level_gens(i)
+        proved, old = self.proved[i]
         identity = self.identity
         for x in sorted(inv):
             u = itemgetter(*_invert_images(inv[x]))
+            kept = old.get(x) == inv[x]
             for s in gens_i:
+                if kept and id(s) in proved and old.get(s[x]) == inv[s[x]]:
+                    continue
                 ux = u(s)
                 h = itemgetter(*ux)(inv[s[x]])
                 if h == identity:
@@ -153,6 +171,7 @@ class _Chain:
                     for k in range(j, i, -1):
                         self._validate(k)
                     return False
+        self.proved[i] = ({id(s) for s in gens_i}, inv)
         return True
 
     @property

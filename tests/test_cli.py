@@ -46,21 +46,25 @@ class TestCheck:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,header,message",
         [
-            ["check", "cent:(1 2)@99999999999"],
-            ["check", "file:GENS"],
-            ["witness-cent", "(1 2)@99999999999", "{1,2}"],
+            (["check", "cent:(1 2)@99999999999"], "", "99999999999 exceeds cap 64"),
+            (["check", "file:GENS"], "degree 99999999999", "99999999999 exceeds cap 64"),
+            (["witness-cent", "(1 2)@99999999999", "{1,2}"], "", "99999999999 exceeds cap 64"),
+            # More digits than int() converts by default.
+            (["check", "file:GENS"], "degree " + "9" * 5000, "degree of 5000 digits exceeds cap 64"),
         ],
-        ids=["cent", "file", "witness-cent"],
+        ids=["cent", "file", "witness-cent", "file-5000-digits"],
     )
-    def test_oversized_degree_fails_before_allocating(self, capsys, tmp_path, argv):
+    def test_oversized_degree_fails_before_allocating(
+        self, capsys, tmp_path, argv, header, message
+    ):
         gens = tmp_path / "huge.gens"
-        gens.write_text("degree 99999999999\n(1 2)\n")
+        gens.write_text(header + "\n(1 2)\n")
         code, out, err = run(capsys, *(arg.replace("GENS", str(gens)) for arg in argv))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "99999999999 exceeds cap 64" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -92,6 +96,15 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "exceeds cap 64" in err
+
+    def test_deep_nesting_is_a_typed_error(self, capsys):
+        # Deep enough to exhaust the interpreter stack if parsing recursed.
+        spec = "sym:1"
+        for _ in range(1200):
+            spec = "wr:(%s,sym:1)" % spec
+        code, out, err = run(capsys, "check", spec)
+        assert code == 1 and out == ""
+        assert err == "error: wr: spec nested deeper than 64 levels\n"
 
     def test_cap_exceeded(self, capsys):
         code, out, err = run(capsys, "check", "sym:8", "--cap", "100")

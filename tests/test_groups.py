@@ -109,7 +109,23 @@ class TestChain:
         ),
         ("m11.gens", "ce3423d5da79796892ebec7625d6a8da685c58f7387c39d2b77012a728295b5e"),
         ("lin:3,4,GL·Frob,lines", "66a26198d7909f6a6b5b7984f854ff5a8c03e632c525ac60fb0cd41003b93bef"),
+        # Recorded from the chain whose Schreier pass re-sifted every pair.
+        ("sym:40", "38691558fa485da22161084c6412c743ec803245fb025fef15e3eec1cd5addc9"),
+        ("alt:9", "1d57e5ff2533cdff658fc71b1f107fab1f3e320087c24ff6ed2c0e952660a9a0"),
+        ("wr:(sym:2,sym:4)", "756865db0744b4980ca80c69d1d98c83118f3e38885289cecff881c2ef5f3681"),
+        ("dsum:(sym:3,alt:5)", "5d2e687674c8c46dad2ae1a134c304771293576bba86ccf78915425925bda9b2"),
+        ("dprod:(sym:3,cyclic:4)", "cc6f475166108176669afbbdd4708290f7d03e8f93da1b219826683dd1fc8e76"),
     ]
+
+    @staticmethod
+    def hash_chain(h, chain):
+        for pt, gens, inverse in zip(chain.base, chain.gens, chain.inverse):
+            h.update(bytes([pt]))
+            for g in gens:
+                h.update(bytes(g))
+            for x in sorted(inverse):
+                h.update(bytes([x]))
+                h.update(bytes(_invert_images(inverse[x])))
 
     @pytest.mark.parametrize(
         "source,digest", CHAIN_DIGESTS, ids=[source for source, _ in CHAIN_DIGESTS]
@@ -119,16 +135,43 @@ class TestChain:
             group = _packaged_group(source)
         else:
             group = build_group(source)
-        chain = group._chain
         h = hashlib.sha256()
-        for pt, gens, inverse in zip(chain.base, chain.gens, chain.inverse):
-            h.update(bytes([pt]))
-            for g in gens:
-                h.update(bytes(g))
-            for x in sorted(inverse):
-                h.update(bytes([x]))
-                h.update(bytes(_invert_images(inverse[x])))
+        self.hash_chain(h, group._chain)
         assert h.hexdigest() == digest
+
+    def test_random_chains_are_pinned(self):
+        # 300 seeded groups of degree 1-14, each generator shuffling a random
+        # subset of the points; one digest over all chains, same recipe and
+        # same source as CHAIN_DIGESTS.  Generic inputs reach Schreier pass
+        # orders that the named groups above do not.
+        rng = random.Random(5)
+        h = hashlib.sha256()
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                pts = rng.sample(range(n), rng.randint(min(2, n), n))
+                images = list(range(n))
+                for a, b in zip(pts, rng.sample(pts, len(pts))):
+                    images[a] = b
+                gens.append(Permutation(tuple(images)))
+            self.hash_chain(h, PermGroup(gens, n)._chain)
+        assert h.hexdigest() == "566e029c922c114878d717ee7f4895bdb2716fde408877a8cd776c1507100b5d"
+
+    def test_schreier_pass_skips_proved_generators(self, monkeypatch):
+        # Every sift with start > 0 comes from a Schreier generator.  A pass
+        # that re-sifted every pair after each new strong generator made
+        # 90,536 of them for sym:30.
+        sift = groups._Chain.sift
+        calls = Counter()
+
+        def counting_sift(chain, g, start=0):
+            calls[start > 0] += 1
+            return sift(chain, g, start)
+
+        monkeypatch.setattr(groups._Chain, "sift", counting_sift)
+        assert symmetric_group(30).order == 265252859812191058636308480000000
+        assert calls[True] <= 30_000
 
     def test_shards_partition_the_stream(self):
         # sym:5 has only level 0 ahead of the precomputed tail; the linear
