@@ -93,7 +93,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    for record in census(args.degree, cap=args.cap, workers=args.workers):
+    for record in census(args.degree, cap=args.cap):
         print(json.dumps(record))
     return 0
 

@@ -173,41 +173,6 @@ def find_witness_element(
 # --- classification of groups with a regular normal cyclic subgroup --------
 
 
-def _unit_group_subgroups(n: int) -> list[tuple[int, ...]]:
-    """All subgroups of the unit group mod n, each as a sorted element tuple."""
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1] if n > 1 else [0]
-    if n == 1:
-        return [(0,)]
-
-    def closure(seed: frozenset[int]) -> frozenset[int]:
-        els = set(seed) | {1 % n}
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(els):
-                    z = x * y % n
-                    if z not in els:
-                        els.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(els)
-
-    found = {closure(frozenset())}
-    queue = [closure(frozenset())]
-    while queue:
-        nxt = []
-        for h in queue:
-            for u in units:
-                if u not in h:
-                    k = closure(h | {u})
-                    if k not in found:
-                        found.add(k)
-                        nxt.append(k)
-        queue = nxt
-    return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
-
-
 def _affine_group(n: int, h: tuple[int, ...]) -> PermGroup:
     """Z_n extended by the multipliers in h, acting on Z_n."""
     gens = [Permutation(tuple((x + 1) % n for x in range(n)))]
@@ -264,30 +229,37 @@ class NormalCyclicEntry:
     verdict: bool
     prediction: bool
 
-    @property
-    def agrees(self) -> bool:
-        return self.verdict == self.prediction
-
 
 @dataclass(frozen=True)
 class NormalCyclicReport:
     n: int
     entries: tuple[NormalCyclicEntry, ...]
 
-    @property
-    def all_agree(self) -> bool:
-        return all(e.agrees for e in self.entries)
 
-
-def verify_normal_cyclic_classification(n: int, workers: int = 1) -> NormalCyclicReport:
+def verify_normal_cyclic_classification(n: int) -> NormalCyclicReport:
     """Compare computed join-coherence against the structural prediction for
-    every extension of the regular cyclic group Z_n by unit multipliers."""
+    every extension of the regular cyclic group Z_n by unit multipliers.
+
+    The multiplier groups H <= (Z/n)^x are the subgroups of the multiplier
+    action x -> ux on Z_n, each read off the images of 1.  `subgroups` lists
+    them by order, then by sorted image tuples, and the image tuple of
+    x -> ux is ordered by its entry at 1, which is u; so the entries come
+    by size, then by sorted multiplier tuple.
+    """
     if not 1 <= n <= 64:
         raise ValueError("n must be between 1 and 64")
+    if n == 1:
+        multiplier_groups = [(0,)]
+    else:
+        units = [u for u in range(2, n) if gcd(u, n) == 1]
+        action = PermGroup([Permutation(tuple(x * u % n for x in range(n))) for u in units], n)
+        multiplier_groups = [
+            tuple(sorted(im[1] for im in sub.element_images())) for sub in subgroups(action)
+        ]
     entries = []
-    for h in _unit_group_subgroups(n):
+    for h in multiplier_groups:
         group = _affine_group(n, h)
-        report = analyze(group, meet=False, chain=False, workers=workers)
+        report = analyze(group, meet=False, chain=False)
         entries.append(
             NormalCyclicEntry(
                 multipliers=h,
@@ -302,7 +274,7 @@ def verify_normal_cyclic_classification(n: int, workers: int = 1) -> NormalCycli
 _CENSUS_DEGREE_MAX = 6
 
 
-def census(degree: int, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> Iterator[dict]:
+def census(degree: int, cap: int = DEFAULT_PI_CAP) -> Iterator[dict]:
     """Analyze every subgroup of the symmetric group of the given degree.
 
     Yields one record per subgroup, smallest orders first and otherwise in a
@@ -323,7 +295,7 @@ def census(degree: int, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> Iterator
         "meet_coherent_transitive": 0,
     }
     for index, sub in enumerate(subs):
-        report = analyze(sub, join=True, meet=True, chain=True, cap=cap, workers=workers)
+        report = analyze(sub, join=True, meet=True, chain=True, cap=cap)
         transitive = sub.is_transitive()
         counts["transitive"] += transitive
         counts["join_coherent"] += report.join_coherent

@@ -359,18 +359,15 @@ def load_generators(path: str) -> PermGroup:
             continue
         if degree is None:
             parts = text.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
+            if len(parts) == 2 and parts[0] == "degree":
+                try:
+                    degree = _read_int(parts[1], "degree")
+                except GroupSpecError as exc:
+                    raise GeneratorFileError("%s:%d: %s" % (path, lineno, exc)) from None
+            if degree is None:
                 raise GeneratorFileError(
                     "%s:%d: expected 'degree n' header, got %r" % (path, lineno, text)
                 )
-            # int() refuses more than 4,300 digits, so count them first.
-            digits = parts[1].lstrip("0")
-            if len(digits) > len(str(DEGREE_CAP)):
-                shown = digits if len(digits) <= 20 else "of %d digits" % len(digits)
-                raise GeneratorFileError(
-                    "%s:%d: degree %s exceeds cap %d" % (path, lineno, shown, DEGREE_CAP)
-                )
-            degree = int(parts[1])
             if degree < 1:
                 raise GeneratorFileError("%s:%d: degree must be positive" % (path, lineno))
             if degree > DEGREE_CAP:
@@ -445,14 +442,34 @@ def _split_pair(body: str, context: str) -> tuple[str, str]:
     raise GroupSpecError("%s expects two comma-separated specs in %r" % (context, body))
 
 
+def _read_int(text: str, what: str) -> int | None:
+    """`text` as an integer in ASCII digits with an optional leading '-'
+    (blanks around it ignored), or None if it is not one.
+
+    No parameter with more digits than DEGREE_CAP is valid, so the digit
+    count is checked before int() reads the number; the error shows the
+    number only when it is short.
+    """
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    size = len(digits.lstrip("0"))
+    if size > len(str(DEGREE_CAP)):
+        shown = text if size <= 20 else "of %d digits" % size
+        raise GroupSpecError("%s %s exceeds cap %d" % (what, shown, DEGREE_CAP))
+    return int(text)
+
+
 def _int_params(body: str, count: int, context: str) -> tuple[int, ...]:
     parts = body.split(",")
     if len(parts) != count:
         raise GroupSpecError("%s expects %d integer parameters, got %r" % (context, count, body))
-    try:
-        return tuple(int(part) for part in parts)
-    except ValueError:
-        raise GroupSpecError("%s: non-integer parameter in %r" % (context, body)) from None
+    values = tuple(_read_int(part, "%s: parameter" % context) for part in parts)
+    for part, value in zip(parts, values):
+        if value is None:
+            raise GroupSpecError("%s: non-integer parameter %r" % (context, part.strip()))
+    return values
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -469,9 +486,10 @@ def parse_group_spec(text: str) -> GroupSpec:
         return GroupSpec(family, (parse_group_spec(left), parse_group_spec(right)), stripped)
     if family == "cent":
         cycles, at, deg = body.rpartition("@")
-        if not at or not deg.strip().isdecimal():
+        degree = _read_int(deg, "cent: degree") if at else None
+        if degree is None or degree < 0:
             raise GroupSpecError("cent expects <cycles>@N, got %r" % (body,))
-        return GroupSpec(family, (cycles.strip(), *_int_params(deg, 1, family)), stripped)
+        return GroupSpec(family, (cycles.strip(), degree), stripped)
     if family == "frob":
         return GroupSpec(family, _int_params(body, 2, family), stripped)
     if family == "gamma":
@@ -480,10 +498,9 @@ def parse_group_spec(text: str) -> GroupSpec:
         parts = [part.strip() for part in body.split(",")]
         if len(parts) != 4:
             raise GroupSpecError("lin expects D,Q,VARIANT,ACTION, got %r" % (body,))
-        try:
-            d, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GroupSpecError("lin: non-integer dimension or order in %r" % (body,)) from None
+        d, q = (_read_int(part, "lin: parameter") for part in parts[:2])
+        if d is None or q is None:
+            raise GroupSpecError("lin: non-integer dimension or order in %r" % (body,))
         return GroupSpec(family, (d, q, parts[2], parts[3]), stripped)
     if family == "file":
         if not body:
@@ -495,9 +512,9 @@ def parse_group_spec(text: str) -> GroupSpec:
 def parse_element_spec(text: str) -> Permutation:
     """Parse ``<cycles>@N`` into a permutation of degree N."""
     cycles, at, deg = text.strip().rpartition("@")
-    if not at or not deg.strip().isdecimal():
+    degree = _read_int(deg, "element spec: degree") if at else None
+    if degree is None or degree < 0:
         raise GroupSpecError("element spec expects <cycles>@N, got %r" % (text,))
-    (degree,) = _int_params(deg, 1, "element spec")
     _check_degree(degree)
     try:
         return Permutation.from_cycles(cycles.strip(), degree)

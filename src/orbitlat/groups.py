@@ -320,10 +320,6 @@ class PiSet:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __contains__(self, p) -> bool:
-        code = p.code() if isinstance(p, SetPartition) else bytes(p)
-        return code in self.codes
-
     def partitions(self) -> Iterator[SetPartition]:
         """All member partitions, sorted by canonical code."""
         for code in sorted(self.codes):
@@ -370,22 +366,21 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     return PiSet(group.degree, frozenset(codes), order)
 
 
-def _mulclose(gens, degree: int, limit: int | None = None):
-    """Closure of a generator list under composition, as a frozenset of tuples."""
-    identity = tuple(range(degree))
-    els = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = _compose_images(a, s)
-                if b not in els:
-                    if limit is not None and len(els) >= limit:
-                        return None
-                    els.add(b)
-                    nxt.append(b)
-        frontier = nxt
+def _coset_closure(h_set, gens, identity, limit: int | None):
+    """Element set of the group K generated by `gens`, which include
+    generators of the subgroup H with element set `h_set`, grown as a union
+    of right cosets H·x (see `subgroups`); None as soon as K would have more
+    than `limit` elements."""
+    els = set(h_set)
+    reps = [identity]
+    for r in reps:
+        for s in gens:
+            x = _compose_images(r, s)
+            if x not in els:
+                if limit is not None and len(els) + len(h_set) > limit:
+                    return None
+                reps.append(x)
+                els.update(_compose_images(h, x) for h in h_set)
     return frozenset(els)
 
 
@@ -400,6 +395,14 @@ def subgroups(
     of prime-power order at a time.  Every finite group is generated by its
     elements of prime-power order, so each subgroup is reached along a path
     of such extensions; insoluble subgroups are found too.
+
+    K = <H, g> is closed from H's known element set as a union of right
+    cosets H·x (Dimino's algorithm; Butler, LNCS 559, ch. 6): for each
+    coset representative r and each generator s of K, a product r·s outside
+    the set adds the whole coset H·r·s and becomes a representative.  The
+    set is always a union of whole right cosets, so when r·s is already in
+    it, all of H·r·s is too, and the set is closed once every
+    representative has been multiplied by every generator.
     """
     if group.order > enumeration_cap:
         raise CapExceeded(
@@ -428,7 +431,7 @@ def subgroups(
             for c_set, g in cyclic_items:
                 if c_set <= h_set:
                     continue
-                k_set = _mulclose(h_gens + (g,), degree, limit=order_cap)
+                k_set = _coset_closure(h_set, h_gens + (g,), identity, order_cap)
                 if k_set is not None and k_set not in found:
                     found[k_set] = h_gens + (g,)
                     nxt.append(k_set)

@@ -133,18 +133,6 @@ class Permutation:
     def inverse(self) -> Permutation:
         return Permutation(_invert_images(self.images))
 
-    def __pow__(self, k: int) -> Permutation:
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = tuple(range(self.degree))
-        square = base.images
-        while k:
-            if k & 1:
-                result = _compose_images(result, square)
-            square = _compose_images(square, square)
-            k >>= 1
-        return Permutation(result)
-
     def __call__(self, point: int) -> int:
         return self.images[point]
 
@@ -173,10 +161,6 @@ class Permutation:
     def orbit_partition(self) -> SetPartition:
         """The partition of {0..n-1} into this permutation's cycles."""
         return SetPartition(tuple(_orbit_rgs(self.images)))
-
-    def conjugate(self, by: Permutation) -> Permutation:
-        """by^-1 * self * by."""
-        return by.inverse() * self * by
 
     def cycle_string(self) -> str:
         """1-based cycle notation; fixed points omitted; identity is "()"."""

@@ -278,7 +278,7 @@ def _claim_normal_cyclic(workers: int) -> tuple[bool, str]:
     failures: list[str] = []
     checked = 0
     for n in _NORMAL_CYCLIC_MODULI:
-        report = verify_normal_cyclic_classification(n, workers=workers)
+        report = verify_normal_cyclic_classification(n)
         checked += len(report.entries)
         for entry in report.entries:
             if entry.verdict != entry.prediction:
@@ -376,7 +376,7 @@ _CENSUS_EXPECTED = {4: (4, 4, 4, 8, 8, 8, 24), 5: (5, 5, 5, 5, 5, 5, 10, 10, 10,
 def _claim_census(workers: int) -> tuple[bool, str]:
     failures: list[str] = []
     for degree, expected in sorted(_CENSUS_EXPECTED.items()):
-        records = [r for r in census(degree, workers=workers) if "summary" not in r]
+        records = [r for r in census(degree) if "summary" not in r]
         hits = [r for r in records if r["transitive"] and r["join_coherent"]]
         _expect(
             failures,

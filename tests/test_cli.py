@@ -85,6 +85,22 @@ class TestCheck:
         assert message in err
 
     @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("sym:" + "9" * 5000, "sym: parameter of 5000 digits exceeds cap 64"),
+            ("frob:7," + "9" * 5000, "frob: parameter of 5000 digits exceeds cap 64"),
+            ("cent:(1 2)@" + "9" * 5000, "cent: degree of 5000 digits exceeds cap 64"),
+            # int() would read "1_0" as 10.
+            ("sym:1_0", "sym: non-integer parameter '1_0'"),
+        ],
+        ids=["sym-5000-digits", "frob-5000-digits", "cent-5000-digits", "underscore"],
+    )
+    def test_integer_parameters_read_as_ascii_digits(self, capsys, spec, message):
+        code, out, err = run(capsys, "check", spec)
+        assert code == 1 and out == ""
+        assert err == "error: %s\n" % message and len(err) < 200
+
+    @pytest.mark.parametrize(
         "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]
     )
     def test_combined_degree_fails_before_any_build(self, capsys, monkeypatch, spec):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,7 +269,27 @@ class TestSubgroupCharacterization:
 class TestNormalCyclicClassification:
     def test_small_moduli_agree(self):
         for n in (1, 2, 3, 4, 6, 8, 12):
-            assert verify_normal_cyclic_classification(n).all_agree
+            report = verify_normal_cyclic_classification(n)
+            assert all(e.verdict == e.prediction for e in report.entries)
+
+    def test_multipliers_are_every_unit_subgroup(self):
+        # Brute force: every set of units mod n that holds 1 and is closed
+        # under multiplication, listed by (size, elements).
+        for n in range(1, 65):
+            units = [u for u in range(n) if gcd(u, n) == 1]
+            if len(units) > 12:
+                continue
+            one = 1 % n
+            rest = [u for u in units if u != one]
+            closed = []
+            for k in range(len(rest) + 1):
+                for extra in itertools.combinations(rest, k):
+                    s = {one, *extra}
+                    if all(a * b % n in s for a in s for b in s):
+                        closed.append(tuple(sorted(s)))
+            closed.sort(key=lambda t: (len(t), t))
+            report = verify_normal_cyclic_classification(n)
+            assert [e.multipliers for e in report.entries] == closed, n
 
     def test_mod_4_details(self):
         report = verify_normal_cyclic_classification(4)

@@ -232,8 +232,8 @@ class TestPiSet:
         pi = pi_set(symmetric_group(3))
         listed = list(pi.partitions())
         assert listed == sorted(listed, key=lambda p: p.code())
-        assert SetPartition.single_block(3) in pi
-        assert SetPartition.discrete(3) in pi
+        assert SetPartition.single_block(3).code() in pi.codes
+        assert SetPartition.discrete(3).code() in pi.codes
 
     def test_cap(self):
         with pytest.raises(CapExceeded) as exc:
@@ -285,6 +285,19 @@ class TestSubgroups:
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
             subgroups(symmetric_group(5), enumeration_cap=100)
+
+    def test_subgroups_are_pinned(self):
+        # sha256 over each subgroup's order and generator images, in list
+        # order, for sym:1..5 and for sym:5 with order_cap=12; recorded from
+        # the enumerator that closed every candidate element by element.
+        h = hashlib.sha256()
+        for n, cap in [(n, None) for n in range(1, 6)] + [(5, 12)]:
+            for sub in subgroups(symmetric_group(n), order_cap=cap):
+                h.update(b"%d:" % sub.order)
+                for g in sub.generators:
+                    h.update(bytes(g.images) + b";")
+                h.update(b"\n")
+        assert h.hexdigest() == "6a2de7a01641f9cc2f2a6290b2581288360d5f5fbe2ff150c31b9fdf4d65de51"
 
     def test_insoluble_subgroup_found(self):
         # A_5 inside S_5: reachable only if the search is not limited to

@@ -200,7 +200,10 @@ class TestApply:
 class TestChains:
     def test_power_partitions_of_4_cycle(self):
         g = Permutation.from_cycles("(1 2 3 4)", 4)
-        parts = {(g ** k).orbit_partition() for k in range(4)}
+        powers = [Permutation.identity(4)]
+        for _ in range(3):
+            powers.append(powers[-1] * g)
+        parts = {p.orbit_partition() for p in powers}
         assert parts == {
             SetPartition.discrete(4),
             SetPartition.from_blocks([[0, 2], [1, 3]], 4),

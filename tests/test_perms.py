@@ -81,12 +81,6 @@ class TestCompose:
         with pytest.raises(ValueError):
             perm("(1 2)", 3) * perm("(1 2)", 4)
 
-    def test_power(self):
-        p = perm("(1 2 3 4 5)", 5)
-        assert p ** 5 == Permutation.identity(5)
-        assert p ** -1 == p.inverse()
-        assert p ** 7 == p * p * p * p * p * p * p
-
     @pytest.mark.parametrize("degree", range(5))
     def test_compose_images_exhaustive(self, degree):
         # degree 1 is where a bare itemgetter would return an int
@@ -147,16 +141,17 @@ class TestOrbitPartition:
 
 class TestConjugation:
     def test_example(self):
-        assert perm("(1 2)", 3).conjugate(perm("(2 3)", 3)) == perm("(1 3)", 3)
+        h = perm("(2 3)", 3)
+        assert h.inverse() * perm("(1 2)", 3) * h == perm("(1 3)", 3)
 
     @given(permutations(), permutations())
     @settings(max_examples=50)
     def test_partition_transport(self, p, h):
         if p.degree == h.degree:
-            assert p.conjugate(h).orbit_partition() == p.orbit_partition().apply(h)
+            assert (h.inverse() * p * h).orbit_partition() == p.orbit_partition().apply(h)
 
     @given(permutations(), permutations())
     @settings(max_examples=50)
     def test_order_invariant(self, p, h):
         if p.degree == h.degree:
-            assert p.conjugate(h).order() == p.order()
+            assert (h.inverse() * p * h).order() == p.order()
