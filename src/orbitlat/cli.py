@@ -2,8 +2,8 @@
 
 One JSON object (or JSON line stream) per invocation on stdout; diagnostics
 on stderr.  Exit codes: 0 for any computed verdict, 1 for malformed input,
-2 when an enumeration cap is exceeded.  Output is deterministic across runs
-and worker counts, except for the ms_elapsed timing field.
+2 when an enumeration cap is exceeded.  Output is deterministic across runs,
+except for the ms_elapsed timing field.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _add_limits(parser, workers_only: bool = False) -> None:
         "--workers",
         type=_worker_count,
         default=1,
-        help="worker processes for element streaming (default 1)",
+        help="accepted for compatibility and ignored: every command runs in one process",
     )
 
 
@@ -74,7 +74,6 @@ def _cmd_check(args) -> int:
         meet=meet,
         chain=chain,
         cap=args.cap,
-        workers=args.workers,
     )
     print(report.to_json())
     return 0
@@ -82,7 +81,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_pi(args) -> int:
     group = build_group(args.spec)
-    for partition in pi_set(group, cap=args.cap, workers=args.workers).partitions():
+    for partition in pi_set(group, cap=args.cap).partitions():
         print(partition)
     return 0
 
@@ -142,7 +141,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    results = run_verify_paper(slow=args.slow, workers=args.workers)
+    results = run_verify_paper(slow=args.slow)
     print(format_report(results))
     return 0 if all(result.ok for result in results) else 1
 

@@ -16,12 +16,11 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 
 from .arith import factorize, is_prime_power
 from .errors import CapExceeded
-from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, pi_set, subgroups
-from .partitions import SetPartition, _canonical, is_chain, join_codes, meet_codes
+from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _close_codes, pi_set, subgroups
+from .partitions import SetPartition, is_chain, join_codes, meet_codes
 from .perms import Permutation, _image_order, _orbit_rgs
 
 _REPORT_FIELDS = (
@@ -71,13 +70,14 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
     scan stops at the first failure, so the witness is the lex-least failing
     pair.  A row whose code is in `cleared` is skipped: its pairs are known to
     be closed.  The single-block code starts there (a | 1 = 1, a & 1 = a);
-    after a row passes, its whole orbit under the generators joins it,
-    because pi(G) is G-invariant and join and meet commute with the action.
+    after a row passes, its whole orbit under the generators joins it (by
+    `groups._close_codes`, which also builds pi(G) itself), because pi(G) is
+    G-invariant and join and meet commute with the action.
     """
     op = join_codes if op_name == "join" else meet_codes
     codes = sorted(pi.codes)
     codeset = pi.codes
-    getters = [itemgetter(*g.images) for g in generators]
+    gens = [g.images for g in generators]
     cleared = {bytes(pi.degree)}
     for i, a in enumerate(codes):
         if a in cleared:
@@ -86,14 +86,7 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
             if bytes(op(a, codes[j])) not in codeset:
                 return SetPartition(tuple(a)), SetPartition(tuple(codes[j]))
         cleared.add(a)
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for get in getters:
-                y = bytes(_canonical(get(x)))
-                if y not in cleared:
-                    cleared.add(y)
-                    frontier.append(y)
+        _close_codes(cleared, [a], gens)
     return None
 
 
@@ -115,14 +108,10 @@ def analyze(
     meet: bool = True,
     chain: bool = True,
     cap: int = DEFAULT_PI_CAP,
-    workers: int = 1,
 ) -> CoherenceReport:
-    """Run the requested coherence checks and assemble one report.
-
-    `workers` shards only the element stream of pi_set; the scans are serial.
-    """
+    """Run the requested coherence checks and assemble one report."""
     t0 = time.monotonic()
-    pi = pi_set(group, cap=cap, workers=workers)
+    pi = pi_set(group, cap=cap)
     report = CoherenceReport(
         group=description, degree=group.degree, order=pi.source_order, pi_size=len(pi)
     )
@@ -146,11 +135,11 @@ class ChainClassification:
     group_is_cyclic_prime_power: bool
 
 
-def classify_chain(group: PermGroup, cap: int = DEFAULT_PI_CAP) -> ChainClassification:
+def classify_chain(group: PermGroup) -> ChainClassification:
     """Whether the orbit partitions form a chain, and the structural test that
     must agree with it for finite groups: prime-power order plus an element
     whose order is the full group order."""
-    chain = _pi_is_chain(pi_set(group, cap=cap))
+    chain = _pi_is_chain(pi_set(group))
     order = group.order
     structural = order == 1 or (is_prime_power(order) and _has_element_of_full_order(group))
     return ChainClassification(chain, structural)

@@ -15,8 +15,6 @@ wrapper appears only at the public surface.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -30,22 +28,49 @@ from .perms import Permutation, _compose_images, _image_order, _invert_images, _
 DEFAULT_PI_CAP = 20_000_000
 DEFAULT_SUBGROUP_CAP = 10_000
 
-# 'fork' keeps worker start cheap and lets shards share the chain read-only.
-_PARALLEL_MIN_ORDER = 200_000
-
 # Largest tail of the stabilizer chain that element_images multiplies out
 # per call: big enough to amortize the head product, small enough to build
 # in about a millisecond.
 _TAIL_MAX = 1024
 
 
-def _usable_workers(workers: int) -> int:
-    """The requested worker count, at most the CPUs this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not provided on macOS and Windows
-        cpus = os.cpu_count() or 1
-    return min(workers, cpus)
+def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
+    """Orbits of the image tuples `gens` on `points`, a union of orbits, by
+    breadth-first closure from each point not yet reached, in the given
+    order; each orbit sorted."""
+    seen = set()
+    out = []
+    for start in points:
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:
+                for g in gens:
+                    y = g[x]
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            out.append(sorted(orbit))
+    return out
+
+
+def _close_codes(codes: set[bytes], frontier: list[bytes], gens) -> None:
+    """Add to `codes` every image of the codes in `frontier` (all members of
+    `codes`) under the group generated by the image tuples `gens`, stopping
+    at codes already present.  Each image is relabelled to canonical form by
+    a translation table that numbers the labels in order of first use."""
+    getters = [itemgetter(*g) for g in gens]
+    table = bytearray(256)
+    while frontier:
+        code = frontier.pop()
+        for get in getters:
+            moved = bytes(get(code))
+            for new, old in enumerate(dict.fromkeys(moved)):
+                table[old] = new
+            image = moved.translate(table)
+            if image not in codes:
+                codes.add(image)
+                frontier.append(image)
 
 
 class _Chain:
@@ -56,7 +81,7 @@ class _Chain:
     representatives u with base[i]^u == point.  Keeping the inverses makes
     every sifting step and every orbit extension a single `itemgetter`
     composition.  New base points are the smallest point moved by the
-    offending element, after any caller-supplied hint prefix.
+    offending element.
 
     A Schreier pass skips a pair (x, s) that the last complete pass of its
     level already proved: same generator s (by id; generators are never
@@ -67,7 +92,7 @@ class _Chain:
     as one whose passes sift every pair.
     """
 
-    def __init__(self, degree: int, base_hint: Iterable[int] = ()):
+    def __init__(self, degree: int):
         self.degree = degree
         self.identity = tuple(range(degree))
         self.base: list[int] = []
@@ -76,8 +101,6 @@ class _Chain:
         # Per level: ids of the generators and the inverse transversal of
         # the last complete Schreier pass.
         self.proved: list[tuple[set[int], dict[int, tuple[int, ...]]]] = []
-        for pt in base_hint:
-            self._new_level(pt)
 
     def _new_level(self, pt: int):
         self.base.append(pt)
@@ -181,7 +204,7 @@ class _Chain:
             n *= len(inv)
         return n
 
-    def element_images(self, shard: tuple[int, int] | None = None) -> Iterator[tuple[int, ...]]:
+    def element_images(self, points: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
         """Stream every element exactly once as a product over the transversals.
 
         The order is deterministic: lexicographic in the sorted transversal
@@ -192,16 +215,20 @@ class _Chain:
         the remaining head levels is then composed with each tail element by
         one `itemgetter` call.
 
-        With shard=(k, m), only the cosets of the level-0 transversal whose
-        sorted position is congruent to k mod m are produced, so the shards
-        over k = 0..m-1 partition the group.
+        Given `points` from the orbit of base[0], only the level-0 cosets
+        {g : base[0]^g = b} for b in points are produced, in the same order,
+        so the whole stream is the concatenation of the streams of a sorted
+        prefix of the orbit and of the rest.  Without a base the group is
+        trivial and its one element is produced whatever `points` holds.
         """
         if not self.base:
-            if shard is None or shard[0] == 0:
-                yield self.identity
+            yield self.identity
             return
 
-        levels = [[_invert_images(inv[pt]) for pt in sorted(inv)] for inv in self.inverse]
+        keys = [sorted(inv) for inv in self.inverse]
+        if points is not None:
+            keys[0] = sorted(points)
+        levels = [[_invert_images(inv[pt]) for pt in pts] for inv, pts in zip(self.inverse, keys)]
         split = len(levels)
         size = 1
         while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:
@@ -214,8 +241,6 @@ class _Chain:
             tail = [get(u) for u in reps for get in getters]
         getters = [itemgetter(*t) for t in tail]
 
-        if shard is not None:
-            levels[0] = levels[0][shard[0] :: shard[1]]
         for head in product(*levels[:split]):
             p = head[0]
             for u in head[1:]:
@@ -227,12 +252,7 @@ class _Chain:
 class PermGroup:
     """A permutation group of fixed degree, generated by explicit permutations."""
 
-    def __init__(
-        self,
-        generators: Iterable[Permutation],
-        degree: int | None = None,
-        base_hint: Iterable[int] = (),
-    ):
+    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -243,7 +263,7 @@ class PermGroup:
                 raise ValueError("generator degree %d != %d" % (g.degree, degree))
         self.degree = degree
         self.generators = gens
-        self._chain = _Chain(degree, base_hint)
+        self._chain = _Chain(degree)
         for g in gens:
             if not g.is_identity():
                 self._chain.add(g.images)
@@ -261,8 +281,8 @@ class PermGroup:
             return False
         return self._chain.sift(p.images) == self._chain.identity
 
-    def element_images(self, shard=None) -> Iterator[tuple[int, ...]]:
-        return self._chain.element_images(shard)
+    def element_images(self) -> Iterator[tuple[int, ...]]:
+        return self._chain.element_images()
 
     def first_element(self, test) -> Permutation | None:
         """The first element in stream order whose image tuple passes `test`."""
@@ -278,26 +298,7 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbits on points, by breadth-first closure under the generators."""
-        gens = [g.images for g in self.generators]
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if not seen[start]:
-                orbit = [start]
-                seen[start] = True
-                queue = [start]
-                while queue:
-                    nxt = []
-                    for x in queue:
-                        for g in gens:
-                            y = g[x]
-                            if not seen[y]:
-                                seen[y] = True
-                                orbit.append(y)
-                                nxt.append(y)
-                    queue = nxt
-                out.append(sorted(orbit))
-        return out
+        return _orbits([g.images for g in self.generators], range(self.degree))
 
     def orbit_partition(self) -> SetPartition:
         return SetPartition.from_blocks(self.orbits(), self.degree)
@@ -326,69 +327,52 @@ class PiSet:
             yield SetPartition(tuple(code))
 
 
-_WORKER_GROUP: PermGroup | None = None
-
-
-def _pi_init(group):
-    global _WORKER_GROUP
-    _WORKER_GROUP = group
-
-
-def _pi_shard(args) -> set[bytes]:
-    k, m = args
-    return {_orbit_rgs(im) for im in _WORKER_GROUP.element_images(shard=(k, m))}
-
-
 def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiSet:
     """Collect the orbit partition of every group element.
 
-    Streams the whole group, so the order must not exceed `cap`; the raised
-    error reports the cap that would be required.  With workers > 1 the
-    element stream is sharded by level-0 coset and merged, which cannot
-    change the resulting set.  The worker count is clamped to the usable CPUs.
+    The order must not exceed `cap`; the raised error reports the cap that
+    would be required.  `workers` is accepted for existing callers and
+    ignored: the work is serial.
+
+    Conjugation permutes orbit partitions: pi(s^-1 g s) = pi(g)^s.  Let b0 =
+    base[0], D its orbit and G_b0 its stabilizer, generated by the strong
+    generators of levels 1 and deeper.  Any g maps b0 to some b in D, and
+    an s in G_b0 that moves b to the least point r of its G_b0-orbit makes
+    s^-1 g s map b0 to r.  So only the level-0 cosets of those least points
+    are streamed, and their codes are closed under the group's generators.
+    When every point of D is its own G_b0-orbit, that is the whole stream
+    and the closure is skipped.
     """
-    workers = _usable_workers(workers)
     order = group.order
     if order > cap:
         raise CapExceeded(
             "group order %d exceeds enumeration cap %d" % (order, cap), required=order
         )
-    if workers > 1 and order >= _PARALLEL_MIN_ORDER and len(group.base) > 0:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pi_init, initargs=(group,)
-        ) as pool:
-            shards = pool.map(_pi_shard, [(k, workers) for k in range(workers)])
-            codes: set[bytes] = set()
-            for shard in shards:
-                codes |= shard
-    else:
-        codes = {_orbit_rgs(im) for im in group.element_images()}
+    chain = group._chain
+    delta = sorted(chain.inverse[0]) if chain.base else []
+    reps = [orbit[0] for orbit in _orbits(chain._level_gens(1), delta)]
+    codes = {_orbit_rgs(im) for im in chain.element_images(reps)}
+    if len(reps) < len(delta):
+        _close_codes(codes, list(codes), [g.images for g in group.generators])
     return PiSet(group.degree, frozenset(codes), order)
 
 
-def _coset_closure(h_set, gens, identity, limit: int | None):
+def _coset_closure(h_set, gens, identity):
     """Element set of the group K generated by `gens`, which include
     generators of the subgroup H with element set `h_set`, grown as a union
-    of right cosets H·x (see `subgroups`); None as soon as K would have more
-    than `limit` elements."""
+    of right cosets H·x (see `subgroups`)."""
     els = set(h_set)
     reps = [identity]
     for r in reps:
         for s in gens:
             x = _compose_images(r, s)
             if x not in els:
-                if limit is not None and len(els) + len(h_set) > limit:
-                    return None
                 reps.append(x)
                 els.update(_compose_images(h, x) for h in h_set)
     return frozenset(els)
 
 
-def subgroups(
-    group: PermGroup,
-    order_cap: int | None = None,
-    enumeration_cap: int = DEFAULT_SUBGROUP_CAP,
-) -> list[PermGroup]:
+def subgroups(group: PermGroup) -> list[PermGroup]:
     """Every subgroup (each distinct element set once), smallest orders first.
 
     Subgroups are grown from the trivial group by adjoining one cyclic group
@@ -404,9 +388,9 @@ def subgroups(
     it, all of H·r·s is too, and the set is closed once every
     representative has been multiplied by every generator.
     """
-    if group.order > enumeration_cap:
+    if group.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(
-            "group order %d exceeds enumeration cap %d" % (group.order, enumeration_cap),
+            "group order %d exceeds enumeration cap %d" % (group.order, DEFAULT_SUBGROUP_CAP),
             required=group.order,
         )
     degree = group.degree
@@ -431,15 +415,11 @@ def subgroups(
             for c_set, g in cyclic_items:
                 if c_set <= h_set:
                     continue
-                k_set = _coset_closure(h_set, h_gens + (g,), identity, order_cap)
-                if k_set is not None and k_set not in found:
+                k_set = _coset_closure(h_set, h_gens + (g,), identity)
+                if k_set not in found:
                     found[k_set] = h_gens + (g,)
                     nxt.append(k_set)
         queue = nxt
 
     items = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return [
-        PermGroup([Permutation(g) for g in gens], degree)
-        for els, gens in items
-        if order_cap is None or len(els) <= order_cap
-    ]
+    return [PermGroup([Permutation(g) for g in gens], degree) for _, gens in items]

@@ -94,7 +94,7 @@ def _meet_oracle(a: SetPartition, b: SetPartition) -> SetPartition:
     return SetPartition.from_blocks(blocks, a.degree)
 
 
-def _claim_lattice_oracles(workers: int) -> tuple[bool, str]:
+def _claim_lattice_oracles() -> tuple[bool, str]:
     rng = random.Random(_SEED)
     trials = 10_000
     for _ in range(trials):
@@ -128,7 +128,7 @@ _LAWS = (
 )
 
 
-def _claim_lattice_axioms(workers: int) -> tuple[bool, str]:
+def _claim_lattice_axioms() -> tuple[bool, str]:
     rng = random.Random(_SEED + 1)
     for _ in range(2_000):
         n = rng.randint(1, 8)
@@ -154,7 +154,7 @@ def _finish(failures: list[str], passed_detail: str) -> tuple[bool, str]:
     return True, passed_detail
 
 
-def _claim_verdict_table_small(workers: int) -> tuple[bool, str]:
+def _claim_verdict_table_small() -> tuple[bool, str]:
     failures: list[str] = []
     for n in range(1, 7):
         report = _spec_report("sym:%d" % n)
@@ -189,7 +189,7 @@ _PRODUCT_PAIRS = (
 )
 
 
-def _claim_direct_products(workers: int) -> tuple[bool, str]:
+def _claim_direct_products() -> tuple[bool, str]:
     failures: list[str] = []
     for left, right in _PRODUCT_PAIRS:
         g = analyze(build_group(left), chain=False)
@@ -223,7 +223,7 @@ def _claim_direct_products(workers: int) -> tuple[bool, str]:
     )
 
 
-def _claim_wreath_examples(workers: int) -> tuple[bool, str]:
+def _claim_wreath_examples() -> tuple[bool, str]:
     failures: list[str] = []
     for text in ("wr:(cyclic:2,cyclic:3)", "wr:(cyclic:3,cyclic:2)"):
         _expect(failures, text + " join", _spec_report(text, meet=False).join_coherent, True)
@@ -238,7 +238,7 @@ def _claim_wreath_examples(workers: int) -> tuple[bool, str]:
 _FROBENIUS_CASES = ((7, 3), (11, 5), (9, 2), (15, 2))
 
 
-def _claim_dihedral_and_affine(workers: int) -> tuple[bool, str]:
+def _claim_dihedral_and_affine() -> tuple[bool, str]:
     failures: list[str] = []
     for n in (3, 5, 7, 11):
         report = _spec_report("dihedral:%d" % n, join=False)
@@ -263,7 +263,7 @@ _LINEAR_CASES = (
 )
 
 
-def _claim_linear_groups(workers: int) -> tuple[bool, str]:
+def _claim_linear_groups() -> tuple[bool, str]:
     failures: list[str] = []
     for text, want in _LINEAR_CASES:
         report = _spec_report(text, meet=False)
@@ -274,7 +274,7 @@ def _claim_linear_groups(workers: int) -> tuple[bool, str]:
 _NORMAL_CYCLIC_MODULI = (4, 6, 8, 9, 10, 12, 15, 16, 25, 27)
 
 
-def _claim_normal_cyclic(workers: int) -> tuple[bool, str]:
+def _claim_normal_cyclic() -> tuple[bool, str]:
     failures: list[str] = []
     checked = 0
     for n in _NORMAL_CYCLIC_MODULI:
@@ -289,7 +289,7 @@ def _claim_normal_cyclic(workers: int) -> tuple[bool, str]:
     return _finish(failures, "verdict matches prediction for %d multiplier groups" % checked)
 
 
-def _claim_chain_characterization(workers: int) -> tuple[bool, str]:
+def _claim_chain_characterization() -> tuple[bool, str]:
     failures: list[str] = []
     checked = 0
     for n in range(1, 6):
@@ -320,7 +320,7 @@ def _centralizer_cases(rng: random.Random, n: int, count: int):
         yield g, partition, cent_codes
 
 
-def _claim_witness_round_trips(workers: int) -> tuple[bool, str]:
+def _claim_witness_round_trips() -> tuple[bool, str]:
     rng = random.Random(_SEED + 2)
     cent_checked = 0
     for n in range(1, 9):
@@ -373,7 +373,7 @@ def _claim_witness_round_trips(workers: int) -> tuple[bool, str]:
 _CENSUS_EXPECTED = {4: (4, 4, 4, 8, 8, 8, 24), 5: (5, 5, 5, 5, 5, 5, 10, 10, 10, 10, 10, 10, 20, 20, 20, 20, 20, 20, 120)}
 
 
-def _claim_census(workers: int) -> tuple[bool, str]:
+def _claim_census() -> tuple[bool, str]:
     failures: list[str] = []
     for degree, expected in sorted(_CENSUS_EXPECTED.items()):
         records = [r for r in census(degree) if "summary" not in r]
@@ -396,12 +396,10 @@ def _packaged_group(name: str) -> PermGroup:
         return load_generators(path)
 
 
-def _claim_big_join(
-    group: PermGroup, label: str, expected_order: int, workers: int
-) -> tuple[bool, str]:
+def _claim_big_join(group: PermGroup, label: str, expected_order: int) -> tuple[bool, str]:
     if group.order != expected_order:
         return False, "%s order %d, expected %d" % (label, group.order, expected_order)
-    report = analyze(group, description=label, meet=False, chain=False, workers=workers)
+    report = analyze(group, description=label, meet=False, chain=False)
     if report.join_coherent:
         return False, "%s unexpectedly join-coherent" % label
     a, b = report.join_witness
@@ -414,31 +412,31 @@ def _claim_big_join(
     )
 
 
-def _claim_m11(workers: int) -> tuple[bool, str]:
-    return _claim_big_join(_packaged_group("m11.gens"), "mathieu-11", 7920, workers)
+def _claim_m11() -> tuple[bool, str]:
+    return _claim_big_join(_packaged_group("m11.gens"), "mathieu-11", 7920)
 
 
-def _claim_psl_2_11(workers: int) -> tuple[bool, str]:
-    return _claim_big_join(_packaged_group("psl2_11.gens"), "psl-2-11", 660, workers)
+def _claim_psl_2_11() -> tuple[bool, str]:
+    return _claim_big_join(_packaged_group("psl2_11.gens"), "psl-2-11", 660)
 
 
-def _claim_psl_3_4_frob(workers: int) -> tuple[bool, str]:
+def _claim_psl_3_4_frob() -> tuple[bool, str]:
     return _claim_big_join(
-        build_group("lin:3,4,SL·Frob,lines"), "psl-3-4-with-frobenius", 40_320, workers
+        build_group("lin:3,4,SL·Frob,lines"), "psl-3-4-with-frobenius", 40_320
     )
 
 
-def _claim_pgl_3_4_frob(workers: int) -> tuple[bool, str]:
+def _claim_pgl_3_4_frob() -> tuple[bool, str]:
     return _claim_big_join(
-        build_group("lin:3,4,GL·Frob,lines"), "pgl-3-4-with-frobenius", 120_960, workers
+        build_group("lin:3,4,GL·Frob,lines"), "pgl-3-4-with-frobenius", 120_960
     )
 
 
-def _claim_m23(workers: int) -> tuple[bool, str]:
-    return _claim_big_join(_packaged_group("m23.gens"), "mathieu-23", 10_200_960, workers)
+def _claim_m23() -> tuple[bool, str]:
+    return _claim_big_join(_packaged_group("m23.gens"), "mathieu-23", 10_200_960)
 
 
-def _claim_centralizer_closure(workers: int) -> tuple[bool, str]:
+def _claim_centralizer_closure() -> tuple[bool, str]:
     from .constructions import centralizer_in_sym
 
     failures: list[str] = []
@@ -479,13 +477,13 @@ SLOW_CLAIMS = (
 )
 
 
-def run_verify_paper(slow: bool = False, workers: int = 1) -> list[ClaimResult]:
+def run_verify_paper(slow: bool = False) -> list[ClaimResult]:
     """Evaluate every fast claim, plus the slow ones when requested."""
     results = []
     registry = FAST_CLAIMS + (SLOW_CLAIMS if slow else ())
     for name, fn in registry:
         t0 = time.monotonic()
-        ok, detail = fn(workers)
+        ok, detail = fn()
         results.append(ClaimResult(name, ok, detail, time.monotonic() - t0))
     return results
 

@@ -129,18 +129,8 @@ def build_wreath_element(
     tilde = induced_block_partition(partition, dx)
     h = _realizing(h_group, tilde)
 
-    seen = [False] * dy
     f_parts: dict[int, Permutation] = {}
-    for start in range(dy):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        nxt = h(start)
-        while nxt != start:
-            orbit.append(nxt)
-            seen[nxt] = True
-            nxt = h(nxt)
+    for orbit in h.cycles():
         m = len(orbit)
         trans = []
         for t in range(m):
@@ -151,7 +141,7 @@ def build_wreath_element(
         b = Permutation.identity(dx)
         for c in trans:
             b = b * c
-        g_rep = _realizing(g_group, restricted_partition(partition, start, dx))
+        g_rep = _realizing(g_group, restricted_partition(partition, orbit[0], dx))
         trans[0] = g_rep * b.inverse() * trans[0]
         for t, y in enumerate(orbit):
             f_parts[y] = trans[t]
@@ -208,9 +198,7 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
             cycle_index[pt] = (ci, pos)
 
     labels = partition.rgs
-    block_of: dict[int, list[int]] = {}
-    for pt, lab in enumerate(labels):
-        block_of.setdefault(lab, []).append(pt)
+    block_of = partition.blocks()
 
     images = list(range(n))
     merged = partition | g.orbit_partition()

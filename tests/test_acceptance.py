@@ -19,7 +19,7 @@ import orbitlat.verification as verification
 def run_claim(name, budget_seconds):
     registry = dict(verification.FAST_CLAIMS + verification.SLOW_CLAIMS)
     t0 = time.monotonic()
-    ok, detail = registry[name](workers=1)
+    ok, detail = registry[name]()
     elapsed = time.monotonic() - t0
     assert ok, "%s: %s" % (name, detail)
     assert elapsed < budget_seconds, "%s took %.1fs (budget %ds)" % (

@@ -1,13 +1,11 @@
 import itertools
 import json
-import os
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitlat.coherence as coherence
-import orbitlat.groups as groups
 from orbitlat.coherence import (
     ChainClassification,
     analyze,
@@ -121,17 +119,6 @@ class TestAnalyze:
         with pytest.raises(CapExceeded) as info:
             analyze(symmetric_group(4), cap=10)
         assert info.value.required == 24
-
-    def test_worker_count_leaves_report_unchanged(self, inline_pool):
-        requested = inline_pool(groups)
-        cpus = len(os.sched_getaffinity(0))
-        group = symmetric_group(6)
-        many = analyze(group, workers=cpus + 5)
-        one = analyze(group, workers=1)
-        many.ms_elapsed = one.ms_elapsed = 0
-        assert many == one
-        assert many.join_coherent and many.meet_coherent
-        assert requested == []
 
     def test_scan_skips_rows_settled_by_symmetry(self, monkeypatch):
         # An ordered scan of sym:7's 877 partitions makes 384,126 calls of

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import os
 import random
 from collections import Counter
 
@@ -12,7 +11,7 @@ from orbitlat.constructions import build_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
 from orbitlat.partitions import SetPartition
-from orbitlat.perms import Permutation, _invert_images
+from orbitlat.perms import Permutation, _invert_images, _orbit_rgs
 from orbitlat.verification import _packaged_group
 
 
@@ -173,17 +172,19 @@ class TestChain:
         assert symmetric_group(30).order == 265252859812191058636308480000000
         assert calls[True] <= 30_000
 
-    def test_shards_partition_the_stream(self):
+    def test_coset_prefix_and_rest_make_the_stream(self):
         # sym:5 has only level 0 ahead of the precomputed tail; the linear
         # group's head spans two levels.
-        for group, shard_counts in (
-            (symmetric_group(5), (2, 3, 7)),
-            (build_group("lin:3,4,SL·Frob,lines"), (2, 3)),
-        ):
-            whole = sorted(group.element_images())
-            for m in shard_counts:
-                parts = [sorted(group.element_images(shard=(k, m))) for k in range(m)]
-                assert sorted(sum(parts, [])) == whole
+        for group in (symmetric_group(5), build_group("lin:3,4,SL·Frob,lines")):
+            chain = group._chain
+            whole = list(chain.element_images())
+            orbit = sorted(chain.inverse[0])
+            for cut in range(len(orbit) + 1):
+                rest = orbit[cut:]
+                random.Random(cut).shuffle(rest)
+                parts = list(chain.element_images(orbit[:cut]))
+                parts += chain.element_images(rest)
+                assert parts == whole
 
     def test_generator_degree_checked(self):
         with pytest.raises(ValueError):
@@ -244,13 +245,48 @@ class TestPiSet:
         group = symmetric_group(5)
         assert pi_set(group, workers=3).codes == pi_set(group).codes
 
-    def test_worker_count_clamped_to_usable_cpus(self, monkeypatch, inline_pool):
-        requested = inline_pool(groups)
-        monkeypatch.setattr(groups, "_PARALLEL_MIN_ORDER", 0)
-        cpus = len(os.sched_getaffinity(0))
-        group = symmetric_group(5)
-        assert pi_set(group, workers=cpus + 5).codes == pi_set(group).codes
-        assert requested == ([cpus] if cpus > 1 else [])
+    @staticmethod
+    def oracle(group):
+        return {_orbit_rgs(im) for im in group.element_images()}
+
+    @given(small_groups_st())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_whole_stream_on_random_groups(self, group):
+        assert pi_set(group).codes == self.oracle(group)
+
+    def test_matches_whole_stream(self):
+        # dsum:(cyclic:4,sym:3) has base[0] in the cyclic part, whose
+        # stabilizer fixes every point of its orbit, so it takes the whole
+        # stream; the other groups close the codes of a few cosets.
+        named = [
+            build_group(spec)
+            for spec in (
+                "sym:1",
+                "sym:2",
+                "cyclic:12",
+                "dsum:(cyclic:4,sym:3)",
+                "wr:(sym:3,sym:3)",
+                "lin:3,4,SL·Frob,lines",
+                "lin:3,4,GL·Frob,lines",
+            )
+        ]
+        named += [_packaged_group("m11.gens"), _packaged_group("psl2_11.gens")]
+        for group in named + subgroups(symmetric_group(5)):
+            assert pi_set(group).codes == self.oracle(group)
+
+    def test_streams_only_cosets_of_orbit_representatives(self, monkeypatch):
+        # alt:9 is 2-transitive: the stabilizer of base[0] has two orbits,
+        # base[0] itself and the other 8 points, so 2 of the 9 level-0
+        # cosets (20,160 elements each) are coded; the whole group is 181,440.
+        calls = Counter()
+
+        def counting(images):
+            calls["codes"] += 1
+            return _orbit_rgs(images)
+
+        monkeypatch.setattr(groups, "_orbit_rgs", counting)
+        assert len(pi_set(build_group("alt:9"))) == 10440
+        assert calls["codes"] <= 40_320
 
 
 class TestSubgroups:
@@ -278,21 +314,21 @@ class TestSubgroups:
         b = [tuple(sorted(s.element_images())) for s in subgroups(symmetric_group(4))]
         assert a == b
 
-    def test_order_cap_filters(self):
-        subs = subgroups(symmetric_group(4), order_cap=4)
-        assert [s.order for s in subs] == [1] + [2] * 9 + [3] * 4 + [4] * 7
-
     def test_enumeration_cap(self):
-        with pytest.raises(CapExceeded):
-            subgroups(symmetric_group(5), enumeration_cap=100)
+        with pytest.raises(CapExceeded) as exc:
+            subgroups(symmetric_group(8))
+        assert exc.value.required == 40_320
 
     def test_subgroups_are_pinned(self):
         # sha256 over each subgroup's order and generator images, in list
-        # order, for sym:1..5 and for sym:5 with order_cap=12; recorded from
-        # the enumerator that closed every candidate element by element.
+        # order, for sym:1..5 and for the subgroups of sym:5 of order at
+        # most 12; recorded from the enumerator that closed every candidate
+        # element by element.
         h = hashlib.sha256()
-        for n, cap in [(n, None) for n in range(1, 6)] + [(5, 12)]:
-            for sub in subgroups(symmetric_group(n), order_cap=cap):
+        lists = [subgroups(symmetric_group(n)) for n in range(1, 6)]
+        lists.append([s for s in lists[-1] if s.order <= 12])
+        for subs in lists:
+            for sub in subs:
                 h.update(b"%d:" % sub.order)
                 for g in sub.generators:
                     h.update(bytes(g.images) + b";")

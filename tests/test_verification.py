@@ -44,8 +44,8 @@ class TestRegistry:
         calls = []
 
         def make(name, ok):
-            def fn(workers):
-                calls.append((name, workers))
+            def fn():
+                calls.append(name)
                 return ok, "d"
 
             return fn
@@ -54,46 +54,46 @@ class TestRegistry:
             verification, "FAST_CLAIMS", (("a", make("a", True)), ("b", make("b", False)))
         )
         monkeypatch.setattr(verification, "SLOW_CLAIMS", (("c", make("c", True)),))
-        results = run_verify_paper(workers=2)
+        results = run_verify_paper()
         assert [r.name for r in results] == ["a", "b"]
         assert [r.ok for r in results] == [True, False]
-        assert calls == [("a", 2), ("b", 2)]
+        assert calls == ["a", "b"]
         assert all(r.seconds >= 0 for r in results)
 
         calls.clear()
-        results = run_verify_paper(slow=True, workers=1)
+        results = run_verify_paper(slow=True)
         assert [r.name for r in results] == ["a", "b", "c"]
-        assert calls[-1] == ("c", 1)
+        assert calls[-1] == "c"
 
 
 class TestOracleClaims:
     def test_join_meet_oracle_claim_passes(self):
-        ok, detail = verification._claim_lattice_oracles(workers=1)
+        ok, detail = verification._claim_lattice_oracles()
         assert ok, detail
         assert "10000" in detail or "pairs" in detail
 
     def test_axiom_claim_reports_distributivity_failure(self):
         # the partition lattice is not distributive, and the claim must
         # find a concrete three-partition counterexample rather than pass
-        ok, detail = verification._claim_lattice_axioms(workers=1)
+        ok, detail = verification._claim_lattice_axioms()
         assert not ok
         assert "distributivity" in detail
 
     def test_tampered_join_breaks_oracle_agreement(self, monkeypatch):
         monkeypatch.setattr(verification, "_join", lambda a, b: a)
-        ok, detail = verification._claim_lattice_oracles(workers=1)
+        ok, detail = verification._claim_lattice_oracles()
         assert not ok
         assert "join" in detail
 
     def test_tampered_join_breaks_commutativity(self, monkeypatch):
         monkeypatch.setattr(verification, "_join", lambda a, b: a)
-        ok, detail = verification._claim_lattice_axioms(workers=1)
+        ok, detail = verification._claim_lattice_axioms()
         assert not ok
         assert "commutativity" in detail
 
     def test_tampered_meet_is_detected(self, monkeypatch):
         monkeypatch.setattr(verification, "_meet", lambda a, b: b)
-        ok, detail = verification._claim_lattice_oracles(workers=1)
+        ok, detail = verification._claim_lattice_oracles()
         assert not ok
         assert "meet" in detail
 
@@ -111,5 +111,5 @@ class TestFastClaimSpotChecks:
     )
     def test_claim_passes(self, name):
         fn = dict(FAST_CLAIMS)[name]
-        ok, detail = fn(workers=1)
+        ok, detail = fn()
         assert ok, detail

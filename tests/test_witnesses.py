@@ -157,9 +157,9 @@ class TestFactorCodes:
         witnesses._factor_codes.cache_clear()
         streamed = []
 
-        def counted(group, cap, workers=1):
+        def counted(group, cap):
             streamed.append(group)
-            return pi_set(group, cap=cap, workers=workers)
+            return pi_set(group, cap=cap)
 
         monkeypatch.setattr(witnesses, "pi_set", counted)
         g, h = build_group("sym:3"), build_group("sym:3")
