@@ -13,7 +13,13 @@ import json
 import sys
 
 from .coherence import analyze, census
-from .constructions import build_group, format_generator_file, parse_element_spec
+from .constructions import (
+    _check_degree,
+    build_group,
+    format_generator_file,
+    parse_element_spec,
+    parse_group_spec,
+)
 from .errors import CapExceeded
 from .groups import DEFAULT_PI_CAP, pi_set
 from .partitions import SetPartition
@@ -107,8 +113,13 @@ def _cmd_witness_cent(args) -> int:
 
 
 def _cmd_witness_wreath(args) -> int:
-    inner = build_group(args.inner)
-    outer = build_group(args.outer)
+    # The product's degree is checked before any build when both specs fix
+    # their degree, and after the build otherwise.
+    specs = [parse_group_spec(args.inner), parse_group_spec(args.outer)]
+    if None not in (spec.degree for spec in specs):
+        _check_degree(specs[0].degree * specs[1].degree)
+    inner, outer = (spec.build() for spec in specs)
+    _check_degree(inner.degree * outer.degree)
     partition = SetPartition.from_string(args.partition, inner.degree * outer.degree)
     conditions = wreath_partition_conditions(partition, inner, outer)
     element = (

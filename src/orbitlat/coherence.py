@@ -148,7 +148,9 @@ def classify_chain(group: PermGroup) -> ChainClassification:
 def find_witness_element(
     group: PermGroup, partition: SetPartition, cap: int = DEFAULT_PI_CAP
 ) -> Permutation | None:
-    """First element in stream order whose orbit partition equals P, if any."""
+    """First element in stream order whose orbit partition equals P, if any.
+    Such an element maps each point into its block of P, so the search
+    skips every element that does not."""
     if partition.degree != group.degree:
         raise ValueError("degree mismatch")
     if group.order > cap:
@@ -156,7 +158,9 @@ def find_witness_element(
             "group order %d exceeds cap %d" % (group.order, cap), required=group.order
         )
     want = partition.code()
-    return group.first_element(lambda im: _orbit_rgs(im) == want)
+    blocks = [set(block) for block in partition.blocks()]
+    allowed = [blocks[label] for label in partition.rgs]
+    return group.first_element(lambda im: _orbit_rgs(im) == want, allowed)
 
 
 # --- classification of groups with a regular normal cyclic subgroup --------

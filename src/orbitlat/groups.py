@@ -101,6 +101,7 @@ class _Chain:
         # Per level: ids of the generators and the inverse transversal of
         # the last complete Schreier pass.
         self.proved: list[tuple[set[int], dict[int, tuple[int, ...]]]] = []
+        self._forward: list[dict[int, tuple[int, ...]]] | None = None
 
     def _new_level(self, pt: int):
         self.base.append(pt)
@@ -132,6 +133,7 @@ class _Chain:
         r = self.sift(g)
         if r == self.identity:
             return
+        self._forward = None
         j = self._insert(r)
         for i in range(j, -1, -1):
             self._validate(i)
@@ -204,12 +206,21 @@ class _Chain:
             n *= len(inv)
         return n
 
+    def forward(self) -> list[dict[int, tuple[int, ...]]]:
+        """Per level, the coset representatives {point: u} with base[i]^u ==
+        point, in sorted point order.  They are inverted back from the
+        stored inverses once and kept until the next `add`."""
+        if self._forward is None:
+            self._forward = [
+                {pt: _invert_images(inv[pt]) for pt in sorted(inv)} for inv in self.inverse
+            ]
+        return self._forward
+
     def element_images(self, points: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
         """Stream every element exactly once as a product over the transversals.
 
         The order is deterministic: lexicographic in the sorted transversal
-        points of levels 0, 1, ..., deepest level innermost.  The stored
-        inverse representatives are inverted back once per call.  The deepest
+        points of levels 0, 1, ..., deepest level innermost.  The deepest
         levels whose product has at most _TAIL_MAX elements (never level 0)
         form a tail that is multiplied out once per call; every product of
         the remaining head levels is then composed with each tail element by
@@ -225,10 +236,10 @@ class _Chain:
             yield self.identity
             return
 
-        keys = [sorted(inv) for inv in self.inverse]
+        forward = self.forward()
+        levels = [list(reps.values()) for reps in forward]
         if points is not None:
-            keys[0] = sorted(points)
-        levels = [[_invert_images(inv[pt]) for pt in pts] for inv, pts in zip(self.inverse, keys)]
+            levels[0] = [forward[0][pt] for pt in sorted(points)]
         split = len(levels)
         size = 1
         while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:
@@ -284,12 +295,33 @@ class PermGroup:
     def element_images(self) -> Iterator[tuple[int, ...]]:
         return self._chain.element_images()
 
-    def first_element(self, test) -> Permutation | None:
-        """The first element in stream order whose image tuple passes `test`."""
-        for im in self._chain.element_images():
-            if test(im):
-                return Permutation(im)
-        return None
+    def first_element(self, test, allowed=None) -> Permutation | None:
+        """The first element in stream order whose image tuple passes `test`.
+
+        The chain is searched depth first over its levels in stream order.
+        `allowed`, if given, holds for each point the images that an element
+        passing `test` may give it, and a prefix whose image of a base point
+        is not allowed is dropped with every element below it (the base-image
+        backtrack; Seress, *Permutation Group Algorithms*, 9.1; Butler, LNCS
+        559): the prefix product p of levels 0..i-1 times the level-i
+        representative for pt maps base[i] to p[pt], and deeper levels fix
+        base[i].  The element found is the same.
+        """
+        base, levels = self._chain.base, self._chain.forward()
+
+        def search(i, p):
+            if i == len(base):
+                return p if test(p) else None
+            images = None if allowed is None else allowed[base[i]]
+            for pt, u in levels[i].items():
+                if images is None or p[pt] in images:
+                    found = search(i + 1, itemgetter(*u)(p))
+                    if found is not None:
+                        return found
+            return None
+
+        found = search(0, self._chain.identity)
+        return None if found is None else Permutation(found)
 
     def elements(self) -> Iterator[Permutation]:
         """All elements in deterministic stream order, each exactly once."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .coherence import find_witness_element
 from .errors import PostconditionError
 from .groups import PermGroup, pi_set
-from .partitions import SetPartition, _canonical, join_codes
+from .partitions import SetPartition, _canonical
 from .perms import Permutation, _compose_images
 
 
@@ -47,37 +47,56 @@ def _factor_codes(group: PermGroup) -> frozenset[bytes]:
     return pi_set(group, cap=group.order).codes
 
 
-def _realizing(group: PermGroup, partition: SetPartition) -> Permutation:
-    """The first element of the group whose orbit partition is the given one,
+def _realizing(group: PermGroup, code: bytes) -> Permutation:
+    """The first element of the group whose orbit partition has this code,
     which the criterion has already shown to exist."""
+    partition = SetPartition(tuple(code))
     found = find_witness_element(group, partition, cap=group.order)
     if found is None:
         raise PostconditionError("no element of the factor realizes %s" % partition)
     return found
 
 
-def induced_block_partition(partition: SetPartition, block_size: int) -> SetPartition:
-    """The partition of {0..k-1} joining y and z when some part meets both
-    contiguous blocks [y*s, (y+1)*s) and [z*s, (z+1)*s); closed transitively.
+def _induced_code(code: bytes, dx: int) -> bytes:
+    """Code of the partition of the blocks [y*dx, (y+1)*dx) joining y and z
+    when some part meets both; closed transitively.  The union-find over the
+    blocks links each root under a smaller one, so one pass in block order
+    takes every block to the least block of its class.  It works on the
+    blocks, not on the points as `partitions.join_codes` would, since the
+    criterion calls it once per partition."""
+    parent = list(range(len(code) // dx))
+    owner: dict[int, int] = {}
+    for pt, label in enumerate(code):
+        y = pt // dx
+        z = owner.setdefault(label, y)
+        if z != y:
+            while parent[y] != y:
+                y = parent[y]
+            while parent[z] != z:
+                z = parent[z]
+            parent[max(y, z)] = min(y, z)
+    for y, up in enumerate(parent):
+        parent[y] = parent[up]
+    return bytes(_canonical(parent))
 
-    It is the join of the partition with the block system, read at the
-    first point of each block."""
-    blocks = [pt // block_size for pt in range(partition.degree)]
-    joined = join_codes(partition.rgs, blocks)
-    return SetPartition(_canonical(joined[::block_size]))
+
+def _restricted_code(code: bytes, y: int, dx: int) -> bytes:
+    """Code of the partition induced on the block [y*dx, (y+1)*dx)."""
+    return bytes(_canonical(code[y * dx : (y + 1) * dx]))
 
 
-def restricted_partition(partition: SetPartition, block: int, block_size: int) -> SetPartition:
-    """The partition of X induced on the contiguous block with index `block`."""
-    base = block * block_size
-    return SetPartition(_canonical(partition.rgs[base : base + block_size]))
-
-
-def _translation(g_group: PermGroup, labels, dx: int, y: int, z: int) -> Permutation | None:
-    """First c in G with (x, y) ~ (x c, z) for every x, if one exists."""
-    at_y = labels[y * dx : (y + 1) * dx]
-    at_z = labels[z * dx : (z + 1) * dx]
-    return g_group.first_element(lambda im: _compose_images(im, at_z) == at_y)
+def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Permutation | None:
+    """First c in G with (x, y) ~ (x c, z) for every x, if one exists.  Such
+    a c maps x only to points p with the label of (p, z) equal to that of
+    (x, y), so the search skips every element that does not."""
+    at_y = code[y * dx : (y + 1) * dx]
+    at_z = code[z * dx : (z + 1) * dx]
+    points: dict[int, set[int]] = {}
+    for p, label in enumerate(at_z):
+        points.setdefault(label, set()).add(p)
+    allowed = [points.get(label, ()) for label in at_y]
+    want = tuple(at_y)
+    return g_group.first_element(lambda im: _compose_images(im, at_z) == want, allowed)
 
 
 def wreath_partition_conditions(
@@ -90,20 +109,20 @@ def wreath_partition_conditions(
         raise ValueError(
             "partition degree %d does not match %d x %d" % (partition.degree, dx, dy)
         )
-    tilde = induced_block_partition(partition, dx)
-    c1 = tilde.code() in _factor_codes(h_group)
+    code = partition.code()
+    tilde = _induced_code(code, dx)
+    c1 = tilde in _factor_codes(h_group)
     g_codes = _factor_codes(g_group)
-    c2 = all(
-        restricted_partition(partition, y, dx).code() in g_codes for y in range(dy)
-    )
-    labels = partition.rgs
+    c2 = all(_restricted_code(code, y, dx) in g_codes for y in range(dy))
+    # Blocks of one induced part are aligned when each is aligned with the
+    # previous block of its part.
+    previous: dict[int, int] = {}
     c4 = True
-    for part in tilde.blocks():
-        for y, z in zip(part, part[1:]):
-            if _translation(g_group, labels, dx, y, z) is None:
-                c4 = False
-                break
-        if not c4:
+    for z, part in enumerate(tilde):
+        y = previous.get(part)
+        previous[part] = z
+        if y is not None and _translation(g_group, code, dx, y, z) is None:
+            c4 = False
             break
     return WreathConditions(c1, c2, c4)
 
@@ -125,23 +144,22 @@ def build_wreath_element(
             if not getattr(conditions, name):
                 raise ValueError("wreath criterion fails at condition %s" % name)
     dx, dy = g_group.degree, h_group.degree
-    labels = partition.rgs
-    tilde = induced_block_partition(partition, dx)
-    h = _realizing(h_group, tilde)
+    code = partition.code()
+    h = _realizing(h_group, _induced_code(code, dx))
 
     f_parts: dict[int, Permutation] = {}
     for orbit in h.cycles():
         m = len(orbit)
         trans = []
         for t in range(m):
-            c = _translation(g_group, labels, dx, orbit[t], orbit[(t + 1) % m])
+            c = _translation(g_group, code, dx, orbit[t], orbit[(t + 1) % m])
             if c is None:
                 raise PostconditionError("no translation from block %d" % orbit[t])
             trans.append(c)
         b = Permutation.identity(dx)
         for c in trans:
             b = b * c
-        g_rep = _realizing(g_group, restricted_partition(partition, orbit[0], dx))
+        g_rep = _realizing(g_group, _restricted_code(code, orbit[0], dx))
         trans[0] = g_rep * b.inverse() * trans[0]
         for t, y in enumerate(orbit):
             f_parts[y] = trans[t]

@@ -193,6 +193,22 @@ class TestWitnessCommands:
         assert data["c1"] and data["c2"] and data["c4"] and data["overall"]
         assert data["element"] in ("(1 3 2 4)", "(1 4 2 3)")
 
+    def test_wreath_product_over_the_degree_cap(self, capsys, monkeypatch):
+        def add(self, g):
+            pytest.fail("a stabilizer chain was built")
+
+        monkeypatch.setattr(groups._Chain, "add", add)
+        partition = "{%s}" % "|".join(map(str, range(1, 401)))
+        code, out, err = run(capsys, "witness-wreath", "cyclic:20", "cyclic:20", partition)
+        assert code == 1 and out == ""
+        assert err == "error: degree 400 exceeds cap 64\n"
+
+    def test_wreath_product_over_the_cap_after_the_build(self, capsys):
+        # A frob spec fixes its degree only when built.
+        code, out, err = run(capsys, "witness-wreath", "frob:11,5", "frob:11,5", "{1}")
+        assert code == 1 and out == ""
+        assert err == "error: degree 121 exceeds cap 64\n"
+
     def test_wreath_infeasible_reports_conditions(self, capsys):
         code, out, _ = run(
             capsys, "witness-wreath", "cyclic:2", "cyclic:3", "{1,3|2,4|5,6}"

@@ -11,7 +11,7 @@ from orbitlat.constructions import build_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
 from orbitlat.partitions import SetPartition
-from orbitlat.perms import Permutation, _invert_images, _orbit_rgs
+from orbitlat.perms import Permutation, _image_order, _invert_images, _orbit_rgs
 from orbitlat.verification import _packaged_group
 
 
@@ -185,6 +185,20 @@ class TestChain:
                 parts = list(chain.element_images(orbit[:cut]))
                 parts += chain.element_images(rest)
                 assert parts == whole
+
+    @given(small_groups_st(), st.integers(0, 5), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_first_element_is_first_match_of_the_stream(self, group, pt, order):
+        # The depth-first search without allowed images visits the whole
+        # stream in order, so it finds the stream's first match or nothing.
+        images = list(group.element_images())
+        for test in (
+            lambda im: _image_order(im) == order,
+            lambda im: im[min(pt, group.degree - 1)] == pt,
+            lambda im: False,
+        ):
+            expected = next((Permutation(im) for im in images if test(im)), None)
+            assert group.first_element(test) == expected
 
     def test_generator_degree_checked(self):
         with pytest.raises(ValueError):

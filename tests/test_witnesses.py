@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+import orbitlat.cli as cli
 import orbitlat.coherence as coherence
 import orbitlat.groups as groups
 import orbitlat.witnesses as witnesses
@@ -13,16 +15,15 @@ from orbitlat.constructions import (
     symmetric_group,
     wreath_imprimitive,
 )
-from orbitlat.groups import pi_set
+from orbitlat.coherence import find_witness_element
+from orbitlat.groups import PermGroup, pi_set
 from orbitlat.partitions import SetPartition, all_partitions
-from orbitlat.perms import Permutation
+from orbitlat.perms import Permutation, _orbit_rgs
 from orbitlat.witnesses import (
     WreathConditions,
     build_centralizer_element,
     build_wreath_element,
     centralizer_partition_conditions,
-    induced_block_partition,
-    restricted_partition,
     wreath_partition_conditions,
 )
 
@@ -30,24 +31,24 @@ from orbitlat.witnesses import (
 class TestBlockHelpers:
     def test_induced_aligned(self):
         part = SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]], 6)
-        assert induced_block_partition(part, 2) == SetPartition.discrete(3)
+        assert witnesses._induced_code(part.code(), 2) == SetPartition.discrete(3).code()
 
     def test_induced_crossing(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
-        assert induced_block_partition(part, 2) == SetPartition.from_blocks(
+        assert witnesses._induced_code(part.code(), 2) == SetPartition.from_blocks(
             [[0, 1], [2]], 3
-        )
+        ).code()
 
     def test_induced_single_block(self):
-        assert induced_block_partition(
-            SetPartition.single_block(6), 3
-        ) == SetPartition.single_block(2)
+        assert witnesses._induced_code(
+            SetPartition.single_block(6).code(), 3
+        ) == SetPartition.single_block(2).code()
 
     def test_restricted(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
-        assert restricted_partition(part, 0, 2) == SetPartition.discrete(2)
-        assert restricted_partition(part, 1, 2) == SetPartition.discrete(2)
-        assert restricted_partition(part, 2, 2) == SetPartition.single_block(2)
+        assert witnesses._restricted_code(part.code(), 0, 2) == SetPartition.discrete(2).code()
+        assert witnesses._restricted_code(part.code(), 1, 2) == SetPartition.discrete(2).code()
+        assert witnesses._restricted_code(part.code(), 2, 2) == SetPartition.single_block(2).code()
 
 
 class TestCentralizerWitness:
@@ -210,3 +211,92 @@ class TestPostconditions:
         done = run_optimized(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False constructed element does not realize {1,2,3,4}\n"
+
+
+WREATH_PAIRS = [("sym:3", "sym:3"), ("cyclic:2", "sym:4"), ("sym:4", "cyclic:2")]
+
+
+class TestPrunedSearch:
+    """The searches that skip elements by their base images find the first
+    element of the unpruned stream that passes the same test."""
+
+    @pytest.mark.parametrize(
+        "spec", ["sym:5", "alt:5", "dihedral:8", "wr:(sym:2,sym:3)", "cent:(1 2)(3 4)(5 6)@6", None]
+    )
+    def test_witness_search(self, spec):
+        group = PermGroup([], 4) if spec is None else build_group(spec)
+        elements = list(group.elements())
+        for part in all_partitions(group.degree):
+            want = part.code()
+            expected = next((g for g in elements if _orbit_rgs(g.images) == want), None)
+            assert find_witness_element(group, part) == expected
+
+    @pytest.mark.parametrize("inner,outer", WREATH_PAIRS)
+    def test_translation_search(self, inner, outer):
+        g = build_group(inner)
+        dx, dy = g.degree, build_group(outer).degree
+        elements = list(g.elements())
+        for part in all_partitions(dx * dy):
+            code = part.code()
+            for y, z in itertools.permutations(range(dy), 2):
+                at_y, at_z = code[y * dx : (y + 1) * dx], code[z * dx : (z + 1) * dx]
+                expected = next(
+                    (c for c in elements if all(at_z[c(x)] == at_y[x] for x in range(dx))), None
+                )
+                assert witnesses._translation(g, code, dx, y, z) == expected
+
+
+class TestPinnedWitnesses:
+    """Witnesses are first matches in stream order, so a faster search must
+    reproduce them byte for byte.  The digests were recorded from the search
+    that streamed every element and from the criterion on SetPartition
+    objects."""
+
+    def test_wreath_witnesses_are_pinned(self):
+        # sha256 over (c1, c2, c4) and the built element's images for every
+        # partition of the three wreath products of the many-small workload.
+        h = hashlib.sha256()
+        for inner, outer in WREATH_PAIRS:
+            g, k = build_group(inner), build_group(outer)
+            for part in all_partitions(g.degree * k.degree):
+                c = wreath_partition_conditions(part, g, k)
+                h.update(bytes((c.c1, c.c2, c.c4)))
+                if c.overall:
+                    h.update(bytes(build_wreath_element(part, g, k).images))
+                h.update(b";")
+        assert h.hexdigest() == "44f720d8a2d606d40012aa98783aebee6332fa8f64294b39c436fd5637639ad7"
+
+    @pytest.mark.parametrize(
+        "command,calls,digest",
+        [
+            (
+                "witness-wreath",
+                [
+                    ("sym:3", "sym:3", "{1,2,3,4,5,6,7,8,9}"),
+                    ("cyclic:2", "sym:4", "{1,3|2,4|5,6|7,8}"),
+                    ("sym:4", "cyclic:2", "{1,2,5|3,6|4|7,8}"),
+                    ("dihedral:4", "cyclic:3", "{1,5,9|2,6,10|3,7,11|4,8,12}"),
+                    ("cyclic:2", "cyclic:3", "{1,3|2,4|5,6}"),
+                ],
+                "f0caea95a95533ab5507c560453cd6ff69748de18a13375d31698f11fdbd2b22",
+            ),
+            (
+                "witness-cent",
+                [
+                    ("(1 2)(3 4)@4", "{1,3|2,4}"),
+                    ("(1 2 3 4)(5 6 7 8)@8", "{1,5|2,6|3,7|4,8}"),
+                    ("(1 2 3)(4 5 6)@7", "{1,2,3,4,5,6|7}"),
+                    ("(1 2)(3 4)(5 6)@6", "{1,2,3,4|5,6}"),
+                    ("(1 2 3)@4", "{1,2|3|4}"),
+                ],
+                "67fb6aa39314e2483e91e93c716f07e3f17ac3a835985fe44aec14d78e94eb0b",
+            ),
+        ],
+        ids=["witness-wreath", "witness-cent"],
+    )
+    def test_cli_output_is_pinned(self, capsys, command, calls, digest):
+        h = hashlib.sha256()
+        for argv in calls:
+            assert cli.main([command, *argv]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest
