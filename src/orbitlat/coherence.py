@@ -72,7 +72,8 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
     be closed.  The single-block code starts there (a | 1 = 1, a & 1 = a);
     after a row passes, its whole orbit under the generators joins it (by
     `groups._close_codes`, which also builds pi(G) itself), because pi(G) is
-    G-invariant and join and meet commute with the action.
+    G-invariant and join and meet commute with the action.  The kernels take
+    and return bytes codes, so a pair is one kernel call and one lookup.
     """
     op = join_codes if op_name == "join" else meet_codes
     codes = sorted(pi.codes)
@@ -82,9 +83,9 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
     for i, a in enumerate(codes):
         if a in cleared:
             continue
-        for j in range(i + 1, len(codes)):
-            if bytes(op(a, codes[j])) not in codeset:
-                return SetPartition(tuple(a)), SetPartition(tuple(codes[j]))
+        for b in codes[i + 1 :]:
+            if op(a, b) not in codeset:
+                return SetPartition(tuple(a)), SetPartition(tuple(b))
         cleared.add(a)
         _close_codes(cleared, [a], gens)
     return None

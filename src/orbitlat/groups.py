@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .arith import is_prime_power
 from .errors import CapExceeded
-from .partitions import SetPartition
+from .partitions import SetPartition, _relabel
 from .perms import Permutation, _compose_images, _image_order, _invert_images, _orbit_rgs
 
 DEFAULT_PI_CAP = 20_000_000
@@ -57,17 +57,13 @@ def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
 def _close_codes(codes: set[bytes], frontier: list[bytes], gens) -> None:
     """Add to `codes` every image of the codes in `frontier` (all members of
     `codes`) under the group generated by the image tuples `gens`, stopping
-    at codes already present.  Each image is relabelled to canonical form by
-    a translation table that numbers the labels in order of first use."""
+    at codes already present."""
     getters = [itemgetter(*g) for g in gens]
     table = bytearray(256)
     while frontier:
         code = frontier.pop()
         for get in getters:
-            moved = bytes(get(code))
-            for new, old in enumerate(dict.fromkeys(moved)):
-                table[old] = new
-            image = moved.translate(table)
+            image = _relabel(bytes(get(code)), table)
             if image not in codes:
                 codes.add(image)
                 frontier.append(image)
@@ -356,7 +352,7 @@ class PiSet:
     def partitions(self) -> Iterator[SetPartition]:
         """All member partitions, sorted by canonical code."""
         for code in sorted(self.codes):
-            yield SetPartition(tuple(code))
+            yield SetPartition._trusted(tuple(code))
 
 
 def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiSet:

@@ -5,8 +5,8 @@ the block label of point i, labels appearing in first-use order starting at 0.
 The RGS is a canonical form, so equal partitions have equal codes and the
 tuple doubles as a hash key.
 
-Join is computed with a disjoint-set union over the two block relations;
-meet buckets points by their pair of block labels.
+Join and meet work on the RGS as bytes (`code()`, degree below 256): join by
+a union-find over the labels of one code, meet by numbering label pairs.
 """
 
 from __future__ import annotations
@@ -19,42 +19,50 @@ from .errors import PartitionFormatError
 
 def _canonical(labels) -> tuple[int, ...]:
     """Relabel an arbitrary labelling into restricted-growth form."""
-    out = [0] * len(labels)
     ids: dict = {}
-    for i, lab in enumerate(labels):
-        if lab not in ids:
-            ids[lab] = len(ids)
-        out[i] = ids[lab]
-    return tuple(out)
+    return tuple([ids.setdefault(lab, len(ids)) for lab in labels])
 
 
-def join_codes(a, b):
-    """Join of two partitions given as label sequences; canonical tuple out."""
-    n = len(a)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for labels in (a, b):
-        first: dict = {}
-        for i in range(n):
-            lab = labels[i]
-            if lab in first:
-                ra, rb = find(first[lab]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                first[lab] = i
-    return _canonical([find(i) for i in range(n)])
+def _relabel(code: bytes, table: bytearray) -> bytes:
+    """Canonical form of a bytes labelling: labels renumbered by first use,
+    through `table`, a 256-byte scratch buffer that a loop allocates once."""
+    for new, old in enumerate(dict.fromkeys(code)):
+        table[old] = new
+    return code.translate(table)
 
 
-def meet_codes(a, b):
-    """Meet of two partitions given as label sequences; canonical tuple out."""
-    return _canonical([(a[i], b[i]) for i in range(len(a))])
+def join_codes(a: bytes, b: bytes) -> bytes:
+    """Join of the codes `a` (canonical) and `b` (any labelling).  Each label
+    of `b` links the first label of `a` it met to every later one.  A root
+    goes under the smaller root, so parents precede children and, as `a`
+    uses its labels in first-use order, classes first appear in root order."""
+    parent = list(range(max(a) + 1))
+    first: dict[int, int] = {}
+    for x, y in zip(a, b):
+        z = first.setdefault(y, x)
+        if z != x:
+            while parent[x] != x:
+                x = parent[x]
+            while parent[z] != z:
+                z = parent[z]
+            if x > z:
+                x, z = z, x
+            parent[z] = x
+    table = bytearray(256)
+    rank = 0
+    for label, up in enumerate(parent):
+        if up == label:
+            table[label] = rank
+            rank += 1
+        else:
+            table[label] = table[up]
+    return a.translate(table)
+
+
+def meet_codes(a: bytes, b: bytes) -> bytes:
+    """Meet of two codes: pairs of labels numbered in order of first use."""
+    ids: dict[tuple[int, int], int] = {}
+    return bytes([ids.setdefault(k, len(ids)) for k in zip(a, b)])
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,13 @@ class SetPartition:
                 mx = lab
         if not self.rgs:
             raise ValueError("degree must be at least 1")
+
+    @classmethod
+    def _trusted(cls, rgs: tuple[int, ...]) -> SetPartition:
+        """Wrap an RGS tuple made in this package, skipping the input checks."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "rgs", rgs)
+        return part
 
     @property
     def degree(self) -> int:
@@ -136,15 +151,17 @@ class SetPartition:
 
     def code(self) -> bytes:
         """Compact canonical key (degree must stay below 256)."""
+        if len(self.rgs) > 255:
+            raise ValueError("codes need degree below 256, got %d" % len(self.rgs))
         return bytes(self.rgs)
 
     def join(self, other: SetPartition) -> SetPartition:
         self._check(other)
-        return SetPartition(join_codes(self.rgs, other.rgs))
+        return SetPartition._trusted(tuple(join_codes(self.code(), other.code())))
 
     def meet(self, other: SetPartition) -> SetPartition:
         self._check(other)
-        return SetPartition(meet_codes(self.rgs, other.rgs))
+        return SetPartition._trusted(tuple(meet_codes(self.code(), other.code())))
 
     __or__ = join
     __and__ = meet
@@ -194,7 +211,7 @@ def all_partitions(degree: int) -> Iterator[SetPartition]:
     rgs = [0] * degree
     mx = [0] * degree
     while True:
-        yield SetPartition(tuple(rgs))
+        yield SetPartition._trusted(tuple(rgs))
         i = degree - 1
         while i > 0 and rgs[i] == mx[i - 1] + 1:
             i -= 1

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .coherence import find_witness_element
 from .errors import PostconditionError
 from .groups import PermGroup, pi_set
-from .partitions import SetPartition, _canonical
+from .partitions import SetPartition, _relabel, join_codes
 from .perms import Permutation, _compose_images
 
 
@@ -59,30 +59,15 @@ def _realizing(group: PermGroup, code: bytes) -> Permutation:
 
 def _induced_code(code: bytes, dx: int) -> bytes:
     """Code of the partition of the blocks [y*dx, (y+1)*dx) joining y and z
-    when some part meets both; closed transitively.  The union-find over the
-    blocks links each root under a smaller one, so one pass in block order
-    takes every block to the least block of its class.  It works on the
-    blocks, not on the points as `partitions.join_codes` would, since the
-    criterion calls it once per partition."""
-    parent = list(range(len(code) // dx))
-    owner: dict[int, int] = {}
-    for pt, label in enumerate(code):
-        y = pt // dx
-        z = owner.setdefault(label, y)
-        if z != y:
-            while parent[y] != y:
-                y = parent[y]
-            while parent[z] != z:
-                z = parent[z]
-            parent[max(y, z)] = min(y, z)
-    for y, up in enumerate(parent):
-        parent[y] = parent[up]
-    return bytes(_canonical(parent))
+    when some part meets both; closed transitively.  It is the join with the
+    block code read at each block's first point, which is canonical: every
+    class of that join is a union of blocks, first met in its least block."""
+    return join_codes(bytes(pt // dx for pt in range(len(code))), code)[::dx]
 
 
 def _restricted_code(code: bytes, y: int, dx: int) -> bytes:
     """Code of the partition induced on the block [y*dx, (y+1)*dx)."""
-    return bytes(_canonical(code[y * dx : (y + 1) * dx]))
+    return _relabel(code[y * dx : (y + 1) * dx], bytearray(256))
 
 
 def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Permutation | None:

@@ -17,7 +17,7 @@ from orbitlat.coherence import (
 from orbitlat.constructions import build_group, cyclic_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
-from orbitlat.partitions import SetPartition, is_chain, join_codes
+from orbitlat.partitions import SetPartition, is_chain, join_codes, meet_codes
 from orbitlat.perms import Permutation
 from orbitlat.verification import _join_oracle, _meet_oracle
 
@@ -38,15 +38,18 @@ def brute_first_failure(parts, op):
     return None
 
 
-partitions_st = st.integers(1, 6).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+def labels_st(n):
+    # A block count first, so that coarse partitions are drawn as often as
+    # fine ones.
+    return st.integers(1, n).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
     )
-)
 
 
-def to_partition(draw):
-    n, labels = draw
+label_pairs_st = st.integers(1, 64).flatmap(lambda n: st.tuples(labels_st(n), labels_st(n)))
+
+
+def to_partition(labels):
     canon, nxt = {}, 0
     out = []
     for x in labels:
@@ -207,24 +210,38 @@ class TestWitnessElement:
         assert info.value.required == 24
 
 
-class TestMergeComponents:
-    """join_codes, the one disjoint-set union, against the transitive-closure
-    oracle of verification."""
+class TestLatticeKernels:
+    """join_codes and meet_codes, the bytes lattice kernels, against the
+    oracles of verification, which share no code with them.  The first code
+    of a join is canonical; every other code may use any labelling."""
 
-    @given(st.tuples(partitions_st, partitions_st))
+    @given(label_pairs_st)
     @settings(max_examples=200, deadline=None)
-    def test_matches_lattice_join(self, pair):
-        a = to_partition(pair[0])
-        b = to_partition(pair[1])
-        if a.degree != b.degree:
-            return
-        assert SetPartition(join_codes(a.rgs, b.rgs)) == _join_oracle(a, b)
+    def test_join_matches_oracle(self, pair):
+        a, b = map(to_partition, pair)
+        want = _join_oracle(a, b)
+        assert join_codes(a.code(), bytes(pair[1])) == want.code()
+        assert a | b == want
+
+    @given(label_pairs_st)
+    @settings(max_examples=200, deadline=None)
+    def test_meet_matches_oracle(self, pair):
+        a, b = map(to_partition, pair)
+        want = _meet_oracle(a, b)
+        assert meet_codes(bytes(pair[0]), bytes(pair[1])) == want.code()
+        assert a & b == want
 
     def test_identity_cases(self):
         d = SetPartition.discrete(5)
         s = SetPartition.single_block(5)
-        assert join_codes(d.rgs, s.rgs) == s.rgs
-        assert join_codes(d.rgs, d.rgs) == d.rgs
+        assert join_codes(d.code(), s.code()) == s.code()
+        assert join_codes(d.code(), d.code()) == d.code()
+
+    @pytest.mark.parametrize("op", ["join", "meet"])
+    def test_degree_256_is_refused(self, op):
+        d = SetPartition.discrete(256)
+        with pytest.raises(ValueError, match="below 256, got 256"):
+            getattr(d, op)(SetPartition.single_block(256))
 
 
 class TestSubgroupCharacterization:

@@ -47,8 +47,8 @@ def random_partition(rng, degree):
 
 
 @st.composite
-def partitions_st(draw, max_degree=9):
-    n = draw(st.integers(1, max_degree))
+def partitions_st(draw, max_degree=9, degree=None):
+    n = degree or draw(st.integers(1, max_degree))
     rgs, mx = [0], 0
     for _ in range(n - 1):
         lab = draw(st.integers(0, mx + 1))
@@ -59,7 +59,7 @@ def partitions_st(draw, max_degree=9):
 
 def pair_st(max_degree=9):
     return partitions_st(max_degree).flatmap(
-        lambda p: st.tuples(st.just(p), partitions_st().filter(lambda q: q.degree == p.degree))
+        lambda p: st.tuples(st.just(p), partitions_st(degree=p.degree))
     )
 
 

@@ -19,6 +19,7 @@ from orbitlat.coherence import find_witness_element
 from orbitlat.groups import PermGroup, pi_set
 from orbitlat.partitions import SetPartition, all_partitions
 from orbitlat.perms import Permutation, _orbit_rgs
+from orbitlat.verification import _join_oracle
 from orbitlat.witnesses import (
     WreathConditions,
     build_centralizer_element,
@@ -43,6 +44,17 @@ class TestBlockHelpers:
         assert witnesses._induced_code(
             SetPartition.single_block(6).code(), 3
         ) == SetPartition.single_block(2).code()
+
+    @pytest.mark.parametrize("degree,dx", [(8, 2), (8, 4), (9, 3)])
+    def test_induced_matches_oracle_join(self, degree, dx):
+        # Join with the block partition by the transitive-closure oracle,
+        # then read the label of each block's first point.
+        blocks = SetPartition.from_blocks(
+            [range(y, y + dx) for y in range(0, degree, dx)], degree
+        )
+        for part in all_partitions(degree):
+            want = bytes(_join_oracle(part, blocks).rgs[::dx])
+            assert witnesses._induced_code(part.code(), dx) == want, str(part)
 
     def test_restricted(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
