@@ -385,19 +385,36 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     return PiSet(group.degree, frozenset(codes), order)
 
 
-def _coset_closure(h_set, gens, identity):
-    """Element set of the group K generated by `gens`, which include
-    generators of the subgroup H with element set `h_set`, grown as a union
-    of right cosets H·x (see `subgroups`)."""
+def _coset_closure(h_set, coset, gen_cols, cols):
+    """Element set of the group K generated by the columns `gen_cols`, whose
+    elements include generators of the subgroup H with element set `h_set`,
+    grown as a union of right cosets H·x (see `subgroups`); `coset(cols[x])`
+    lists H·x."""
     els = set(h_set)
-    reps = [identity]
+    reps = [0]
     for r in reps:
-        for s in gens:
-            x = _compose_images(r, s)
+        for col in gen_cols:
+            x = col[r]
             if x not in els:
                 reps.append(x)
-                els.update(_compose_images(h, x) for h in h_set)
+                els.update(coset(cols[x]))
     return frozenset(els)
+
+
+class _Columns(dict):
+    """Right-multiplication columns of a group, built on first use: entry h
+    of column x is the index of h·x, elements numbered in `elems` order."""
+
+    def __init__(self, elems: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+        super().__init__()
+        self.elems = elems
+        self.index = index
+
+    def __missing__(self, x: int) -> list[int]:
+        xi = self.elems[x]
+        col = [self.index[_compose_images(h, xi)] for h in self.elems]
+        self[x] = col
+        return col
 
 
 def subgroups(group: PermGroup) -> list[PermGroup]:
@@ -408,46 +425,84 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     elements of prime-power order, so each subgroup is reached along a path
     of such extensions; insoluble subgroups are found too.
 
-    K = <H, g> is closed from H's known element set as a union of right
-    cosets H·x (Dimino's algorithm; Butler, LNCS 559, ch. 6): for each
+    The elements are numbered in sorted image order, so the identity is 0
+    and index order is image order, and a subgroup is a frozenset of
+    indices.  K = <H, g> is closed from H's known element set as a union of
+    right cosets H·x (Dimino's algorithm; Butler, LNCS 559, ch. 6): for each
     coset representative r and each generator s of K, a product r·s outside
     the set adds the whole coset H·r·s and becomes a representative.  The
     set is always a union of whole right cosets, so when r·s is already in
     it, all of H·r·s is too, and the set is closed once every
-    representative has been multiplied by every generator.
+    representative has been multiplied by every generator.  Products are
+    read from right-multiplication columns (entry h of column x is the index
+    of h·x), so r·s is one lookup and a coset H·x one `itemgetter` call.  A
+    column is built the first time its element is a generator, a coset
+    representative or conjugated, and then kept: at most |G| columns of |G|
+    ints, 518,400 entries (about 4 MB of pointers) for sym:6.
+
+    For a fixed H, a cyclic group conjugate under H to one already adjoined
+    gives the same K, since <H, h⁻¹ c h> = <H, c> for h in H, so it is
+    skipped; the first (H, g) that reaches each K is unchanged.
     """
     if group.order > DEFAULT_SUBGROUP_CAP:
         raise CapExceeded(
             "group order %d exceeds enumeration cap %d" % (group.order, DEFAULT_SUBGROUP_CAP),
             required=group.order,
         )
-    degree = group.degree
-    identity = tuple(range(degree))
+    elems = sorted(group.element_images())
+    index = {im: i for i, im in enumerate(elems)}
+    identity = elems[0]
 
-    cyclics: dict[frozenset, tuple[int, ...]] = {}
-    for im in sorted(group.element_images()):
-        if im != identity and is_prime_power(_image_order(im)):
+    # Each cyclic group of prime-power order, by its least generator, and
+    # for each of its generators the position of that least one.
+    cyclics: dict[frozenset[int], int] = {}
+    generates: dict[int, frozenset[int]] = {}
+    for i, im in enumerate(elems[1:], 1):
+        if is_prime_power(_image_order(im)):
             powers = [im]
             while powers[-1] != identity:
                 powers.append(_compose_images(powers[-1], im))
-            cyclics.setdefault(frozenset(powers), im)
-    cyclic_items = sorted(cyclics.items(), key=lambda kv: kv[1])
+            c_set = generates[i] = frozenset(map(index.__getitem__, powers))
+            cyclics.setdefault(c_set, i)
+    cyclic_gens = sorted(cyclics.values())
+    position = {g: pos for pos, g in enumerate(cyclic_gens)}
+    cyclic_of = {i: position[cyclics[c_set]] for i, c_set in generates.items()}
+    inverse = [index[_invert_images(im)] for im in elems]
 
-    trivial = frozenset({identity})
-    found: dict[frozenset, tuple] = {trivial: ()}
+    cols = _Columns(elems, index)
+    trivial = frozenset({0})
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     queue = [trivial]
     while queue:
         nxt = []
         for h_set in queue:
             h_gens = found[h_set]
-            for c_set, g in cyclic_items:
-                if c_set <= h_set:
+            # H holds the identity 0, so the extra 0 only repeats x in H·x; it
+            # keeps the getter returning a tuple when H is trivial.
+            coset = itemgetter(0, *h_set)
+            h_cols = [cols[s] for s in h_gens]
+            conjugators = [(cols[s], inverse[s]) for s in h_gens]
+            done = bytearray(len(cyclic_gens))
+            for pos, g in enumerate(cyclic_gens):
+                if done[pos] or g in h_set:
                     continue
-                k_set = _coset_closure(h_set, h_gens + (g,), identity)
+                k_set = _coset_closure(h_set, coset, h_cols + [cols[g]], cols)
                 if k_set not in found:
                     found[k_set] = h_gens + (g,)
                     nxt.append(k_set)
+                # Mark the H-conjugates of <g>: y -> s⁻¹·y·s for each generator s of H.
+                done[pos] = 1
+                orbit = [g]
+                for y in orbit:
+                    col_y = cols[y]
+                    for col_s, s_inv in conjugators:
+                        z = col_s[col_y[s_inv]]
+                        if not done[cyclic_of[z]]:
+                            done[cyclic_of[z]] = 1
+                            orbit.append(z)
         queue = nxt
 
     items = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return [PermGroup([Permutation(g) for g in gens], degree) for _, gens in items]
+    return [
+        PermGroup([Permutation(elems[g]) for g in gens], group.degree) for _, gens in items
+    ]

@@ -84,11 +84,11 @@ def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Pe
     return g_group.first_element(lambda im: _compose_images(im, at_z) == want, allowed)
 
 
-def wreath_partition_conditions(
+def _block_conditions(
     partition: SetPartition, g_group: PermGroup, h_group: PermGroup
-) -> WreathConditions:
-    """Decide whether the partition is realizable as an orbit partition in
-    the imprimitive wreath product of G by H, condition by condition."""
+) -> tuple[bytes, bytes, bool, bool]:
+    """The partition's code, its induced block code, and conditions c1 and c2
+    of the wreath criterion."""
     dx, dy = g_group.degree, h_group.degree
     if partition.degree != dx * dy:
         raise ValueError(
@@ -99,6 +99,16 @@ def wreath_partition_conditions(
     c1 = tilde in _factor_codes(h_group)
     g_codes = _factor_codes(g_group)
     c2 = all(_restricted_code(code, y, dx) in g_codes for y in range(dy))
+    return code, tilde, c1, c2
+
+
+def wreath_partition_conditions(
+    partition: SetPartition, g_group: PermGroup, h_group: PermGroup
+) -> WreathConditions:
+    """Decide whether the partition is realizable as an orbit partition in
+    the imprimitive wreath product of G by H, condition by condition."""
+    code, tilde, c1, c2 = _block_conditions(partition, g_group, h_group)
+    dx = g_group.degree
     # Blocks of one induced part are aligned when each is aligned with the
     # previous block of its part.
     previous: dict[int, int] = {}
@@ -121,16 +131,18 @@ def build_wreath_element(
     Follows the constructive proof: pick h realizing the induced block
     partition, translations c along each h-orbit, then correct the first
     translation of each orbit so the round-trip product realizes the
-    within-block restriction at the orbit representative.
+    within-block restriction at the orbit representative.  An infeasible
+    partition raises ValueError naming its first false condition: c1 and c2
+    are read as in `wreath_partition_conditions`, and c4 fails exactly when
+    a translation along an h-orbit is missing, since the h-orbits are the
+    induced parts and alignment is an equivalence relation.
     """
-    conditions = wreath_partition_conditions(partition, g_group, h_group)
-    if not conditions.overall:
-        for name in ("c1", "c2", "c4"):
-            if not getattr(conditions, name):
-                raise ValueError("wreath criterion fails at condition %s" % name)
+    code, tilde, c1, c2 = _block_conditions(partition, g_group, h_group)
+    for name, holds in (("c1", c1), ("c2", c2)):
+        if not holds:
+            raise ValueError("wreath criterion fails at condition %s" % name)
     dx, dy = g_group.degree, h_group.degree
-    code = partition.code()
-    h = _realizing(h_group, _induced_code(code, dx))
+    h = _realizing(h_group, tilde)
 
     f_parts: dict[int, Permutation] = {}
     for orbit in h.cycles():
@@ -139,7 +151,7 @@ def build_wreath_element(
         for t in range(m):
             c = _translation(g_group, code, dx, orbit[t], orbit[(t + 1) % m])
             if c is None:
-                raise PostconditionError("no translation from block %d" % orbit[t])
+                raise ValueError("wreath criterion fails at condition c4")
             trans.append(c)
         b = Permutation.identity(dx)
         for c in trans:

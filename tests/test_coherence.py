@@ -294,6 +294,10 @@ class TestNormalCyclicClassification:
             closed.sort(key=lambda t: (len(t), t))
             report = verify_normal_cyclic_classification(n)
             assert [e.multipliers for e in report.entries] == closed, n
+            # That order comes from `subgroups` listing by sorted image tuples:
+            # the image tuple of x -> ux is ordered by its entry at 1, u.
+            images = [tuple(x * u % n for x in range(n)) for u in units]
+            assert sorted(images) == sorted(images, key=lambda im: im[1 % n]), n
 
     def test_mod_4_details(self):
         report = verify_normal_cyclic_classification(4)
@@ -353,6 +357,24 @@ class TestCensus:
         assert summary["transitive"] == sum(r["transitive"] for r in records)
         assert summary["join_coherent"] == sum(r["join_coherent"] for r in records)
         assert summary["join_coherent_transitive"] == 7  # 3 C4 + 3 D8 + S4
+
+    @pytest.mark.slow
+    def test_degree_6_published_count(self):
+        # S_6 has 1,455 subgroups (OEIS A005432).  Each record's generators
+        # give an element set of the recorded order, closed under products,
+        # and no two records give the same set.
+        records = list(census(6))
+        summary = records.pop()["summary"]
+        assert summary["groups"] == len(records) == 1455
+        seen = set()
+        for record in records:
+            gens = [Permutation.from_cycles(text, 6) for text in record["generators"]]
+            els = frozenset(PermGroup(gens, 6).element_images())
+            assert len(els) == record["order"]
+            assert tuple(range(6)) in els
+            assert all(tuple(b[i] for i in a) in els for a in els for b in els)
+            assert els not in seen
+            seen.add(els)
 
     def test_deterministic(self):
         assert list(census(3)) == list(census(3))

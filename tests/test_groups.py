@@ -349,6 +349,24 @@ class TestSubgroups:
                 h.update(b"\n")
         assert h.hexdigest() == "6a2de7a01641f9cc2f2a6290b2581288360d5f5fbe2ff150c31b9fdf4d65de51"
 
+    def test_sym5_published_counts(self):
+        # S_5 has 156 subgroups (OEIS A005432) in 19 conjugacy classes
+        # (OEIS A000638); the classes are found by conjugating each element
+        # set with all 120 elements and keeping the least conjugate.
+        group = symmetric_group(5)
+        subs = subgroups(group)
+        sets = {frozenset(s.element_images()) for s in subs}
+        assert len(subs) == len(sets) == 156
+        inverses = {g: _invert_images(g) for g in group.element_images()}
+        classes = {
+            min(
+                tuple(sorted(tuple(g[a[j]] for j in g_inv) for a in els))
+                for g, g_inv in inverses.items()
+            )
+            for els in sets
+        }
+        assert len(classes) == 19
+
     def test_insoluble_subgroup_found(self):
         # A_5 inside S_5: reachable only if the search is not limited to
         # soluble extensions.
