@@ -71,8 +71,8 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
     pair.  A row whose code is in `cleared` is skipped: its pairs are known to
     be closed.  The single-block code starts there (a | 1 = 1, a & 1 = a);
     after a row passes, its whole orbit under the generators joins it (by
-    `groups._close_codes`, which also builds pi(G) itself), because pi(G) is
-    G-invariant and join and meet commute with the action.  The kernels take
+    `groups._close_codes`), because pi(G) is G-invariant and join and meet
+    commute with the action.  The kernels take
     and return bytes codes, so a pair is one kernel call and one lookup.
     """
     op = join_codes if op_name == "join" else meet_codes

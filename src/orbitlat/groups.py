@@ -20,7 +20,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .arith import is_prime_power
+from .arith import is_prime, is_prime_power
 from .errors import CapExceeded
 from .partitions import SetPartition, _relabel
 from .perms import Permutation, _compose_images, _image_order, _invert_images, _orbit_rgs
@@ -362,14 +362,31 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     would be required.  `workers` is accepted for existing callers and
     ignored: the work is serial.
 
-    Conjugation permutes orbit partitions: pi(s^-1 g s) = pi(g)^s.  Let b0 =
-    base[0], D its orbit and G_b0 its stabilizer, generated by the strong
-    generators of levels 1 and deeper.  Any g maps b0 to some b in D, and
-    an s in G_b0 that moves b to the least point r of its G_b0-orbit makes
-    s^-1 g s map b0 to r.  So only the level-0 cosets of those least points
-    are streamed, and their codes are closed under the group's generators.
-    When every point of D is its own G_b0-orbit, that is the whole stream
-    and the closure is skipped.
+    Conjugation permutes orbit partitions: pi(t^-1 g t) = pi(g)^t.  Let β =
+    base[0], Δ its orbit, G_β its stabilizer (the strong generators of
+    levels 1 and deeper) and C_b = {g : β^g = b} for b in Δ.  A
+    breadth-first search of G_β from the least point r of each G_β-orbit
+    O_r gives, for each b in O_r, a t_b in G_β with r^t_b = b; then
+    t_b^-1 C_r t_b = C_b, so pi(C_b) = pi(C_r)^t_b.  Only the cosets C_r
+    are streamed (Seress, *Permutation Group Algorithms*, ch. 4), and each
+    other b is reached by relabelling codes of C_r with t_b.
+
+    Most of those relabels would repeat a code, so each is made only where
+    it can be new.  Let R(Q) = {β^g : pi(g) = Q}; for t in G_β, R(Q^t) =
+    R(Q)^t.  Lemma: if g realizes Q and β lies in a cycle B of g of length
+    l, then g^j has the cycles of g for every j coprime to ord(g), so
+    β^(g^-1) is in R(Q), and R(Q) = B - {β} when l is prime (the powers
+    g^j then move β to every other point of B, and nothing realizing Q can
+    move β out of B).  Emission rule: while C_r is streamed, each code P
+    collects the points p = β^(g^-1) of its elements g; U is B - {β} if
+    |B| is prime and {r} with every collected p otherwise, a subset of
+    R(P) holding r.  P is relabelled to b only when min U^t_b = b, tested
+    as an AND of per-point bitmasks over O_r (bit b set in mask[x] iff
+    x^t_b > b; mask[r] and mask[β] are full).  Every Q in pi(G) is still
+    made: with m = min R(Q) in O_r, P = Q^(t_m^-1) comes from C_r and
+    U^t_m is a subset of R(Q) holding m.  Each code is thus relabelled
+    about once, where closing the codes under the group's generators
+    relabelled each once per generator.
     """
     order = group.order
     if order > cap:
@@ -377,11 +394,60 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
             "group order %d exceeds enumeration cap %d" % (order, cap), required=order
         )
     chain = group._chain
-    delta = sorted(chain.inverse[0]) if chain.base else []
-    reps = [orbit[0] for orbit in _orbits(chain._level_gens(1), delta)]
-    codes = {_orbit_rgs(im) for im in chain.element_images(reps)}
-    if len(reps) < len(delta):
-        _close_codes(codes, list(codes), [g.images for g in group.generators])
+    if not chain.base:
+        return PiSet(group.degree, frozenset({_orbit_rgs(chain.identity)}), order)
+    beta = chain.base[0]
+    steps = [(s, itemgetter(*_invert_images(s))) for s in chain._level_gens(1)]
+    primes = {n for n in range(2, group.degree + 1) if is_prime(n)}
+    codes: set[bytes] = set()
+    table = bytearray(256)
+    reached: set[int] = set()
+    for r in sorted(chain.inverse[0]):
+        if r in reached:
+            continue
+        # Breadth-first transversal of G_β on O_r, kept as inv[b] = t_b^-1.
+        inv = {r: chain.identity}
+        orbit = [r]
+        for x in orbit:
+            for s, s_inv in steps:
+                y = s[x]
+                if y not in inv:
+                    inv[y] = s_inv(inv[x])
+                    orbit.append(y)
+        reached.update(orbit)
+        if len(orbit) == 1:
+            codes.update(map(_orbit_rgs, chain.element_images([r])))
+            continue
+
+        targets = orbit[1:]
+        full = (1 << len(targets)) - 1
+        mask = [0] * group.degree
+        for k, b in enumerate(targets):
+            bit = 1 << k
+            # x^t_b > b exactly for the points x = y^(t_b^-1) with y > b.
+            for x in inv[b][b + 1 :]:
+                mask[x] |= bit
+        mask[r] = mask[beta] = full
+        relabels = [itemgetter(*inv[b]) for b in targets]
+
+        allowed: dict[bytes, int] = {}
+        get = allowed.get
+        for im in chain.element_images([r]):
+            code = _orbit_rgs(im)
+            allowed[code] = get(code, full) & mask[im.index(beta)]
+        codes.update(allowed)
+        for code, bits in allowed.items():
+            label = code[beta]
+            size = code.count(label)
+            if size in primes:
+                x = -1
+                for _ in range(size):
+                    x = code.index(label, x + 1)
+                    bits &= mask[x]
+            while bits:
+                low = bits & -bits
+                codes.add(_relabel(bytes(relabels[low.bit_length() - 1](code)), table))
+                bits ^= low
     return PiSet(group.degree, frozenset(codes), order)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from math import gcd
@@ -18,8 +19,14 @@ from orbitlat.constructions import build_group, cyclic_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
 from orbitlat.partitions import SetPartition, is_chain, join_codes, meet_codes
-from orbitlat.perms import Permutation
+from orbitlat.perms import Permutation, _orbit_rgs
 from orbitlat.verification import _join_oracle, _meet_oracle
+
+
+@functools.cache
+def census_6():
+    """The records of census(6), summary last; shared by the slow tests."""
+    return list(census(6))
 
 
 def brute_pi(group):
@@ -363,9 +370,8 @@ class TestCensus:
         # S_6 has 1,455 subgroups (OEIS A005432).  Each record's generators
         # give an element set of the recorded order, closed under products,
         # and no two records give the same set.
-        records = list(census(6))
-        summary = records.pop()["summary"]
-        assert summary["groups"] == len(records) == 1455
+        *records, last = census_6()
+        assert last["summary"]["groups"] == len(records) == 1455
         seen = set()
         for record in records:
             gens = [Permutation.from_cycles(text, 6) for text in record["generators"]]
@@ -375,6 +381,33 @@ class TestCensus:
             assert all(tuple(b[i] for i in a) in els for a in els for b in els)
             assert els not in seen
             seen.add(els)
+
+    @pytest.mark.slow
+    def test_degree_6_verdicts_match_oracles(self):
+        # Each record's pi-set against the codes of its whole element
+        # stream, and its join and meet verdicts against a pairwise closure
+        # by the independent oracles, memoized over pairs of codes.
+        oracles = {"join": (_join_oracle, {}), "meet": (_meet_oracle, {})}
+
+        def closed(codes, name):
+            oracle, memo = oracles[name]
+            for a in codes:
+                for b in codes:
+                    if (a, b) not in memo:
+                        memo[a, b] = oracle(SetPartition(tuple(a)), SetPartition(tuple(b))).code()
+                    if memo[a, b] not in codes:
+                        return False
+            return True
+
+        *records, _ = census_6()
+        for record in records:
+            gens = [Permutation.from_cycles(text, 6) for text in record["generators"]]
+            group = PermGroup(gens, 6)
+            codes = {_orbit_rgs(im) for im in group.element_images()}
+            assert pi_set(group).codes == codes
+            assert record["pi_size"] == len(codes)
+            assert record["join_coherent"] == closed(codes, "join")
+            assert record["meet_coherent"] == closed(codes, "meet")
 
     def test_deterministic(self):
         assert list(census(3)) == list(census(3))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitlat.groups as groups
+from orbitlat.arith import is_prime
 from orbitlat.constructions import build_group, symmetric_group
 from orbitlat.errors import CapExceeded
 from orbitlat.groups import PermGroup, pi_set, subgroups
-from orbitlat.partitions import SetPartition
+from orbitlat.partitions import SetPartition, _relabel
 from orbitlat.perms import Permutation, _image_order, _invert_images, _orbit_rgs
 from orbitlat.verification import _packaged_group
 
@@ -271,7 +272,8 @@ class TestPiSet:
     def test_matches_whole_stream(self):
         # dsum:(cyclic:4,sym:3) has base[0] in the cyclic part, whose
         # stabilizer fixes every point of its orbit, so it takes the whole
-        # stream; the other groups close the codes of a few cosets.
+        # stream; the other groups stream a few cosets and relabel their
+        # codes onto the rest.
         named = [
             build_group(spec)
             for spec in (
@@ -301,6 +303,44 @@ class TestPiSet:
         monkeypatch.setattr(groups, "_orbit_rgs", counting)
         assert len(pi_set(build_group("alt:9"))) == 10440
         assert calls["codes"] <= 40_320
+
+    def test_relabels_about_once_per_code(self, monkeypatch):
+        # lin:3,4,GL·Frob,lines has 5 generators; closing the streamed codes
+        # under them relabelled each of its 28,815 codes 5 times.
+        calls = Counter()
+
+        def counting(code, table):
+            calls["relabels"] += 1
+            return _relabel(code, table)
+
+        monkeypatch.setattr(groups, "_relabel", counting)
+        pi = pi_set(build_group("lin:3,4,GL·Frob,lines"))
+        assert len(pi) == 28815
+        assert 0 < calls["relabels"] <= 1.25 * len(pi)
+
+    @pytest.mark.parametrize("source", ["sym:5", "wr:(sym:2,sym:3)", "psl2_11.gens", "m11.gens"])
+    def test_realizing_images_of_base_point(self, source):
+        # R(Q) = {β^g : pi(g) = Q}, by brute force over the whole stream.
+        # If β lies in a block B of Q of prime size, R(Q) = B - {β}; and
+        # β^(g^-1) is in R(pi(g)) for every g.
+        if source.endswith(".gens"):
+            group = _packaged_group(source)
+        else:
+            group = build_group(source)
+        beta = group.base[0]
+        elements = list(group.element_images())
+        realized = {}
+        for im in elements:
+            realized.setdefault(_orbit_rgs(im), set()).add(im[beta])
+        prime_blocks = 0
+        for code, points in realized.items():
+            block = {x for x, label in enumerate(code) if label == code[beta]}
+            if is_prime(len(block)):
+                prime_blocks += 1
+                assert points == block - {beta}
+        assert prime_blocks > 0
+        for im in elements:
+            assert im.index(beta) in realized[_orbit_rgs(im)]
 
 
 class TestSubgroups:
