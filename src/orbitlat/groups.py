@@ -4,17 +4,20 @@ The chain is the classic Schreier-Sims structure: a list of base points,
 strong generators, and orbit transversals.  All choices (base points, orbit
 breadth-first order, generator order) are deterministic, so group order,
 element streaming order, and every derived result are reproducible across
-runs and machines.  Each level stores the inverses of its coset
-representatives, so sifting and orbit extension are single `itemgetter`
-compositions; the chain is the same by value as one built from forward
-representatives.
+runs and machines.
 
-Elements are handled internally as raw image tuples; the `Permutation`
-wrapper appears only at the public surface.
+Inside the chain a permutation is `bytes`, so a group's degree is below
+256, and composing two permutations is one `bytes.translate` call.  Each
+strong generator is kept with its inverse and each coset representative
+beside its inverse, so sifting and orbit extension invert nothing; the
+chain is the same by value as one built from forward image tuples.
+Elsewhere elements are raw image tuples, composed by `itemgetter`; the
+`Permutation` wrapper appears only at the public surface.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -32,6 +35,9 @@ DEFAULT_SUBGROUP_CAP = 10_000
 # per call: big enough to amortize the head product, small enough to build
 # in about a millisecond.
 _TAIL_MAX = 1024
+
+# The identity as a `bytes.translate` table.
+_IDENTITY_TABLE = bytes(range(256))
 
 
 def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
@@ -73,11 +79,16 @@ class _Chain:
     """Stabilizer chain with incremental deterministic Schreier-Sims.
 
     Level i stores base[i], the strong generators that fix base[:i] and move
-    base[i], and the inverse transversal {point: u^-1} over the coset
-    representatives u with base[i]^u == point.  Keeping the inverses makes
-    every sifting step and every orbit extension a single `itemgetter`
-    composition.  New base points are the smallest point moved by the
-    offending element.
+    base[i], the transversal {point: u} over the coset representatives u
+    with base[i]^u == point, and the inverse transversal {point: u^-1}.
+
+    Inside the chain every permutation is `bytes`: an element or a forward
+    representative as its `degree` images, a strong generator or an inverse
+    representative as a 256-byte table padded with the identity.  g followed
+    by t is then `g.translate(t)`, one C call.  Each strong generator is
+    inverted once, when it is inserted; each representative is built beside
+    its inverse from the generator tables, so nothing else is inverted.
+    New base points are the smallest point moved by the offending element.
 
     A Schreier pass skips a pair (x, s) that the last complete pass of its
     level already proved: same generator s (by id; generators are never
@@ -91,57 +102,68 @@ class _Chain:
     def __init__(self, degree: int):
         self.degree = degree
         self.identity = tuple(range(degree))
+        self.one = bytes(range(degree))
+        self.pad = _IDENTITY_TABLE[degree:]
         self.base: list[int] = []
-        self.gens: list[list[tuple[int, ...]]] = []
-        self.inverse: list[dict[int, tuple[int, ...]]] = []
+        # Per level: (table, inverse table) of each strong generator.
+        self.gens: list[list[tuple[bytes, bytes]]] = []
+        self.reps: list[dict[int, bytes]] = []
+        self.inverse: list[dict[int, bytes]] = []
         # Per level: ids of the generators and the inverse transversal of
         # the last complete Schreier pass.
-        self.proved: list[tuple[set[int], dict[int, tuple[int, ...]]]] = []
+        self.proved: list[tuple[set[int], dict[int, bytes]]] = []
         self._forward: list[dict[int, tuple[int, ...]]] | None = None
 
     def _new_level(self, pt: int):
         self.base.append(pt)
         self.gens.append([])
-        self.inverse.append({pt: self.identity})
+        self.reps.append({pt: self.one})
+        self.inverse.append({pt: _IDENTITY_TABLE})
         self.proved.append((set(), {}))
 
-    def _level_gens(self, i: int) -> list[tuple[int, ...]]:
+    def _level_gens(self, i: int) -> list[tuple[bytes, bytes]]:
         out = []
         for lvl in range(i, len(self.base)):
             out.extend(self.gens[lvl])
         return out
 
-    def sift(self, g, start: int = 0):
-        """Reduce g by transversal representatives; identity iff g is a member."""
-        for i in range(start, len(self.base)):
-            img = g[self.base[i]]
-            if img == self.base[i]:
+    def sift(self, g: bytes, start: int = 0) -> bytes:
+        """Reduce g by transversal representatives; `one` iff g is a member."""
+        base, inverse = self.base, self.inverse
+        for i in range(start, len(base)):
+            pt = base[i]
+            img = g[pt]
+            if img == pt:
                 continue
-            v = self.inverse[i].get(img)
+            v = inverse[i].get(img)
             if v is None:
                 return g
-            # g moves a point, so the degree is at least 2 and this is a tuple.
-            g = itemgetter(*g)(v)
+            # v is u^-1 as a table, so this is g followed by u^-1.
+            g = g.translate(v)
         return g
 
-    def add(self, g):
+    def __contains__(self, images) -> bool:
+        return self.sift(bytes(images)) == self.one
+
+    def add(self, images):
         """Insert an element, extending the chain if it is not yet a member."""
-        r = self.sift(g)
-        if r == self.identity:
+        r = self.sift(bytes(images))
+        if r == self.one:
             return
         self._forward = None
         j = self._insert(r)
         for i in range(j, -1, -1):
             self._validate(i)
 
-    def _insert(self, g) -> int:
+    def _insert(self, g: bytes) -> int:
+        gen = (g + self.pad, bytes(_invert_images(g)) + self.pad)
         for i, pt in enumerate(self.base):
             if g[pt] != pt:
-                self.gens[i].append(g)
+                self.gens[i].append(gen)
                 return i
         moved = min(i for i in range(self.degree) if g[i] != i)
         self._new_level(moved)
-        self.gens[-1].append(g)
+        self.gens[-1].append(gen)
         return len(self.base) - 1
 
     def _validate(self, i: int):
@@ -155,44 +177,48 @@ class _Chain:
 
     def _rebuild_orbit(self, i: int):
         # (u s)^-1 = s^-1 u^-1: prepend each generator's inverse.
-        steps = [(s, itemgetter(*_invert_images(s))) for s in self._level_gens(i)]
-        inv = {self.base[i]: self.identity}
-        frontier = [self.base[i]]
+        steps = self._level_gens(i)
+        pt = self.base[i]
+        reps = {pt: self.one}
+        inv = {pt: _IDENTITY_TABLE}
+        frontier = [pt]
         while frontier:
             nxt = []
             for x in sorted(frontier):
-                v = inv[x]
+                u, v = reps[x], inv[x]
                 for s, s_inv in steps:
                     y = s[x]
                     if y not in inv:
-                        inv[y] = s_inv(v)
+                        reps[y] = u.translate(s)
+                        inv[y] = s_inv.translate(v)
                         nxt.append(y)
             frontier = nxt
+        self.reps[i] = reps
         self.inverse[i] = inv
 
     def _schreier_pass(self, i: int) -> bool:
         self._rebuild_orbit(i)
-        inv = self.inverse[i]
-        gens_i = self._level_gens(i)
+        reps, inv = self.reps[i], self.inverse[i]
         proved, old = self.proved[i]
-        identity = self.identity
+        gens_i = [(s, id(s) in proved) for s, _ in self._level_gens(i)]
+        one = self.one
         for x in sorted(inv):
-            u = itemgetter(*_invert_images(inv[x]))
+            u = reps[x]
             kept = old.get(x) == inv[x]
-            for s in gens_i:
-                if kept and id(s) in proved and old.get(s[x]) == inv[s[x]]:
+            for s, was_proved in gens_i:
+                y = s[x]
+                if kept and was_proved and old.get(y) == inv[y]:
                     continue
-                ux = u(s)
-                h = itemgetter(*ux)(inv[s[x]])
-                if h == identity:
+                h = u.translate(s).translate(inv[y])
+                if h == one:
                     continue
                 r = self.sift(h, start=i + 1)
-                if r != identity:
+                if r != one:
                     j = self._insert(r)
                     for k in range(j, i, -1):
                         self._validate(k)
                     return False
-        self.proved[i] = ({id(s) for s in gens_i}, inv)
+        self.proved[i] = ({id(s) for s, _ in gens_i}, inv)
         return True
 
     @property
@@ -204,12 +230,10 @@ class _Chain:
 
     def forward(self) -> list[dict[int, tuple[int, ...]]]:
         """Per level, the coset representatives {point: u} with base[i]^u ==
-        point, in sorted point order.  They are inverted back from the
-        stored inverses once and kept until the next `add`."""
+        point as image tuples, in sorted point order.  They are converted
+        from the chain's bytes once and kept until the next `add`."""
         if self._forward is None:
-            self._forward = [
-                {pt: _invert_images(inv[pt]) for pt in sorted(inv)} for inv in self.inverse
-            ]
+            self._forward = [{pt: tuple(reps[pt]) for pt in sorted(reps)} for reps in self.reps]
         return self._forward
 
     def element_images(self, points: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
@@ -265,6 +289,8 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for a generator-free group")
             degree = gens[0].degree
+        if degree >= 256:
+            raise ValueError("permutation groups need degree below 256, got %d" % degree)
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree %d != %d" % (g.degree, degree))
@@ -286,7 +312,7 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return self._chain.sift(p.images) == self._chain.identity
+        return p.images in self._chain
 
     def element_images(self) -> Iterator[tuple[int, ...]]:
         return self._chain.element_images()
@@ -340,10 +366,13 @@ class PermGroup:
 
 @dataclass(frozen=True)
 class PiSet:
-    """The set of orbit partitions of a group's elements, as canonical codes."""
+    """The set of orbit partitions of a group's elements, as canonical codes.
+
+    `codes` is the set that `pi_set` built, not a frozen copy: read it, do
+    not change it.  A PiSet is not hashable."""
 
     degree: int
-    codes: frozenset[bytes]
+    codes: Set[bytes]
     source_order: int
 
     def __len__(self) -> int:
@@ -395,10 +424,12 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
         )
     chain = group._chain
     if not chain.base:
-        return PiSet(group.degree, frozenset({_orbit_rgs(chain.identity)}), order)
+        return PiSet(group.degree, {_orbit_rgs(chain.identity)}, order)
     beta = chain.base[0]
-    steps = [(s, itemgetter(*_invert_images(s))) for s in chain._level_gens(1)]
-    primes = {n for n in range(2, group.degree + 1) if is_prime(n)}
+    degree = group.degree
+    # The strong generators of G_β as (table, inverse table), inverted by the chain.
+    steps = chain._level_gens(1)
+    primes = {n for n in range(2, degree + 1) if is_prime(n)}
     codes: set[bytes] = set()
     table = bytearray(256)
     reached: set[int] = set()
@@ -406,13 +437,13 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
         if r in reached:
             continue
         # Breadth-first transversal of G_β on O_r, kept as inv[b] = t_b^-1.
-        inv = {r: chain.identity}
+        inv = {r: _IDENTITY_TABLE}
         orbit = [r]
         for x in orbit:
             for s, s_inv in steps:
                 y = s[x]
                 if y not in inv:
-                    inv[y] = s_inv(inv[x])
+                    inv[y] = s_inv.translate(inv[x])
                     orbit.append(y)
         reached.update(orbit)
         if len(orbit) == 1:
@@ -421,14 +452,14 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
 
         targets = orbit[1:]
         full = (1 << len(targets)) - 1
-        mask = [0] * group.degree
+        mask = [0] * degree
         for k, b in enumerate(targets):
             bit = 1 << k
             # x^t_b > b exactly for the points x = y^(t_b^-1) with y > b.
-            for x in inv[b][b + 1 :]:
+            for x in inv[b][b + 1 : degree]:
                 mask[x] |= bit
         mask[r] = mask[beta] = full
-        relabels = [itemgetter(*inv[b]) for b in targets]
+        relabels = [itemgetter(*inv[b][:degree]) for b in targets]
 
         allowed: dict[bytes, int] = {}
         get = allowed.get
@@ -448,7 +479,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
                 low = bits & -bits
                 codes.add(_relabel(bytes(relabels[low.bit_length() - 1](code)), table))
                 bits ^= low
-    return PiSet(group.degree, frozenset(codes), order)
+    return PiSet(degree, codes, order)
 
 
 def _coset_closure(h_set, coset, gen_cols, cols):

@@ -10,6 +10,7 @@ bookkeeping cannot go unnoticed.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ class WreathConditions:
 
 
 @lru_cache(maxsize=16)
-def _factor_codes(group: PermGroup) -> frozenset[bytes]:
+def _factor_codes(group: PermGroup) -> Set[bytes]:
     """pi(G) of a wreath factor, kept for the last few factor groups.  The
     key is the group object itself (PermGroup compares by identity)."""
     return pi_set(group, cap=group.order).codes

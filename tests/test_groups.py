@@ -119,13 +119,22 @@ class TestChain:
 
     @staticmethod
     def hash_chain(h, chain):
-        for pt, gens, inverse in zip(chain.base, chain.gens, chain.inverse):
+        # The chain keeps generators and inverse representatives as 256-byte
+        # tables padded with the identity; the digest reads their first
+        # `degree` bytes, and checks the padding and the stored inverses.
+        n, pad = chain.degree, bytes(range(chain.degree, 256))
+        for pt, gens, reps, inverse in zip(chain.base, chain.gens, chain.reps, chain.inverse):
             h.update(bytes([pt]))
-            for g in gens:
-                h.update(bytes(g))
+            for g, g_inv in gens:
+                assert g[n:] == g_inv[n:] == pad
+                assert bytes(_invert_images(g[:n])) == g_inv[:n]
+                h.update(g[:n])
+            assert sorted(reps) == sorted(inverse)
             for x in sorted(inverse):
+                u = bytes(_invert_images(inverse[x][:n]))
+                assert inverse[x][n:] == pad and reps[x] == u
                 h.update(bytes([x]))
-                h.update(bytes(_invert_images(inverse[x])))
+                h.update(u)
 
     @pytest.mark.parametrize(
         "source,digest", CHAIN_DIGESTS, ids=[source for source, _ in CHAIN_DIGESTS]
@@ -173,6 +182,31 @@ class TestChain:
         assert symmetric_group(30).order == 265252859812191058636308480000000
         assert calls[True] <= 30_000
 
+    def test_chain_inverts_each_strong_generator_once(self, monkeypatch):
+        # Sift steps, Schreier generators and representatives compose stored
+        # tables; only a new strong generator is inverted.  Inverting every
+        # generator and representative again at each pass took 27,170
+        # inversions for sym:40.  The kernel does not change which elements
+        # are sifted.
+        invert, sift = groups._invert_images, groups._Chain.sift
+        calls = Counter()
+
+        def counting_invert(p):
+            calls["invert"] += 1
+            return invert(p)
+
+        def counting_sift(chain, g, start=0):
+            calls["sift"] += 1
+            return sift(chain, g, start)
+
+        monkeypatch.setattr(groups, "_invert_images", counting_invert)
+        monkeypatch.setattr(groups._Chain, "sift", counting_sift)
+        chain = build_group("sym:40")._chain
+        strong = sum(map(len, chain.gens))
+        assert strong == 74
+        assert calls["invert"] <= strong
+        assert calls["sift"] == 42_493
+
     def test_coset_prefix_and_rest_make_the_stream(self):
         # sym:5 has only level 0 ahead of the precomputed tail; the linear
         # group's head spans two levels.
@@ -206,6 +240,31 @@ class TestChain:
             PermGroup([Permutation.identity(3), Permutation.identity(4)])
         with pytest.raises(ValueError):
             PermGroup([], degree=None)
+
+    def test_degree_255_is_the_largest(self):
+        n = 255
+        cycle = Permutation(tuple(range(1, n)) + (0,))
+        cyclic = PermGroup([cycle])
+        assert cyclic.order == n
+        assert cycle * cycle in cyclic and cycle.inverse() in cyclic
+        # (1 2)(3 4)...(253 254), 255 fixed.
+        swaps = Permutation(tuple(i ^ 1 for i in range(n - 1)) + (n - 1,))
+        involution = PermGroup([swaps])
+        assert involution.order == 2
+        assert swaps in involution and cycle not in involution
+        assert swaps not in cyclic
+        assert Permutation.from_cycles("(1 2)", n) not in involution
+
+    def test_degree_256_is_refused_before_any_chain_work(self, monkeypatch):
+        def chain(degree):
+            pytest.fail("a stabilizer chain was started")
+
+        monkeypatch.setattr(groups, "_Chain", chain)
+        message = "permutation groups need degree below 256, got 256"
+        with pytest.raises(ValueError, match=message):
+            PermGroup([Permutation(tuple(range(1, 256)) + (0,))])
+        with pytest.raises(ValueError, match=message):
+            PermGroup([], 256)
 
 
 class TestActions:
