@@ -31,6 +31,19 @@ def _relabel(code: bytes, table: bytearray) -> bytes:
     return code.translate(table)
 
 
+def _check_rgs(rgs) -> None:
+    """Raise ValueError naming the first position where `rgs` stops being a
+    restricted-growth string of ints, or for an empty one."""
+    mx = -1
+    for i, lab in enumerate(rgs):
+        if not isinstance(lab, int) or lab < 0 or lab > mx + 1:
+            raise ValueError("not a restricted-growth string at position %d" % i)
+        if lab == mx + 1:
+            mx = lab
+    if not rgs:
+        raise ValueError("degree must be at least 1")
+
+
 def join_codes(a: bytes, b: bytes) -> bytes:
     """Join of the codes `a` (canonical) and `b` (any labelling).  Each label
     of `b` links the first label of `a` it met to every later one.  A root
@@ -72,14 +85,21 @@ class SetPartition:
     rgs: tuple[int, ...]
 
     def __post_init__(self):
-        mx = -1
-        for i, lab in enumerate(self.rgs):
-            if not isinstance(lab, int) or lab < 0 or lab > mx + 1:
-                raise ValueError("not a restricted-growth string at position %d" % i)
-            if lab == mx + 1:
-                mx = lab
-        if not self.rgs:
-            raise ValueError("degree must be at least 1")
+        # Fast path: a short tuple of plain ints in 0..255 is an RGS exactly
+        # when relabelling its bytes by first use leaves them unchanged.
+        # Anything else gets the verdict and message of the position loop.
+        rgs = self.rgs
+        if (
+            type(rgs) is tuple
+            and 0 < len(rgs) < 256
+            and set(map(type, rgs)) == {int}
+            and min(rgs) >= 0
+            and max(rgs) < 256
+        ):
+            code = bytes(rgs)
+            if _relabel(code, bytearray(256)) == code:
+                return
+        _check_rgs(rgs)
 
     @classmethod
     def _trusted(cls, rgs: tuple[int, ...]) -> SetPartition:
@@ -183,7 +203,7 @@ class SetPartition:
         labels = [0] * self.degree
         for i, lab in enumerate(self.rgs):
             labels[g.images[i]] = lab
-        return SetPartition(_canonical(labels))
+        return SetPartition._trusted(_canonical(labels))
 
     def _check(self, other: SetPartition):
         if self.degree != other.degree:

@@ -160,7 +160,7 @@ class Permutation:
 
     def orbit_partition(self) -> SetPartition:
         """The partition of {0..n-1} into this permutation's cycles."""
-        return SetPartition(tuple(_orbit_rgs(self.images)))
+        return SetPartition._trusted(tuple(_orbit_rgs(self.images)))
 
     def cycle_string(self) -> str:
         """1-based cycle notation; fixed points omitted; identity is "()"."""

@@ -41,29 +41,63 @@ class WreathConditions:
         return self.c1 and self.c2 and self.c4
 
 
+class _Factor:
+    """What the wreath criterion reads of one factor group: its pi codes and
+    memos of answers that depend on the factor alone, never on the
+    partition being decided.
+
+    `first_match` maps the canonical code of a pair of block slices to the
+    first translation aligning them (or None); `in_pi` maps a raw block
+    slice to whether its partition is in pi(G); `realizing` maps a code to
+    the first element realizing it; `block_codes` maps a degree to the code
+    of the partition into consecutive blocks of this factor's degree.
+    """
+
+    def __init__(self, group: PermGroup):
+        self.codes: Set[bytes] = pi_set(group, cap=group.order).codes
+        self.first_match: dict[bytes, Permutation | None] = {}
+        self.in_pi: dict[bytes, bool] = {}
+        self.realizing: dict[bytes, Permutation] = {}
+        self.block_codes: dict[int, bytes] = {}
+
+
 @lru_cache(maxsize=16)
-def _factor_codes(group: PermGroup) -> Set[bytes]:
-    """pi(G) of a wreath factor, kept for the last few factor groups.  The
-    key is the group object itself (PermGroup compares by identity)."""
-    return pi_set(group, cap=group.order).codes
+def _factor(group: PermGroup) -> _Factor:
+    """The record of a wreath factor, kept for the last few factor groups.
+    The key is the group object itself (PermGroup compares by identity)."""
+    return _Factor(group)
 
 
 def _realizing(group: PermGroup, code: bytes) -> Permutation:
     """The first element of the group whose orbit partition has this code,
     which the criterion has already shown to exist."""
-    partition = SetPartition(tuple(code))
-    found = find_witness_element(group, partition, cap=group.order)
+    memo = _factor(group).realizing
+    found = memo.get(code)
     if found is None:
-        raise PostconditionError("no element of the factor realizes %s" % partition)
+        partition = SetPartition._trusted(tuple(code))
+        found = find_witness_element(group, partition, cap=group.order)
+        if found is None:
+            raise PostconditionError("no element of the factor realizes %s" % partition)
+        memo[code] = found
     return found
 
 
-def _induced_code(code: bytes, dx: int) -> bytes:
+def _block_code(factor: _Factor, degree: int, dx: int) -> bytes:
+    """Code of the partition of 0..degree-1 into the blocks [y*dx, (y+1)*dx),
+    built once per degree for the factor of degree dx."""
+    blocks = factor.block_codes.get(degree)
+    if blocks is None:
+        blocks = factor.block_codes[degree] = bytes(pt // dx for pt in range(degree))
+    return blocks
+
+
+def _induced_code(code: bytes, blocks: bytes, dx: int) -> bytes:
     """Code of the partition of the blocks [y*dx, (y+1)*dx) joining y and z
     when some part meets both; closed transitively.  It is the join with the
-    block code read at each block's first point, which is canonical: every
-    class of that join is a union of blocks, first met in its least block."""
-    return join_codes(bytes(pt // dx for pt in range(len(code))), code)[::dx]
+    block code `blocks` read at each block's first point, which is
+    canonical: every class of that join is a union of blocks, first met in
+    its least block."""
+    return join_codes(blocks, code)[::dx]
 
 
 def _restricted_code(code: bytes, y: int, dx: int) -> bytes:
@@ -72,17 +106,30 @@ def _restricted_code(code: bytes, y: int, dx: int) -> bytes:
 
 
 def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Permutation | None:
-    """First c in G with (x, y) ~ (x c, z) for every x, if one exists.  Such
-    a c maps x only to points p with the label of (p, z) equal to that of
-    (x, y), so the search skips every element that does not."""
+    """First c in G with (x, y) ~ (x c, z) for every x, if one exists.
+
+    c is a bijection of the block, so the two blocks must carry the same
+    multiset of labels.  The first match depends only on the pair of slices
+    up to a common relabelling, so it is kept by their canonical code.  The
+    search maps x only to points p with the label of (p, z) equal to that of
+    (x, y), and skips every element that does not."""
     at_y = code[y * dx : (y + 1) * dx]
     at_z = code[z * dx : (z + 1) * dx]
+    if sorted(at_y) != sorted(at_z):
+        return None
+    key = _relabel(at_y + at_z, bytearray(256))
+    memo = _factor(g_group).first_match
+    if key in memo:
+        return memo[key]
+    at_y, at_z = key[:dx], key[dx:]
     points: dict[int, set[int]] = {}
     for p, label in enumerate(at_z):
         points.setdefault(label, set()).add(p)
-    allowed = [points.get(label, ()) for label in at_y]
+    allowed = [points[label] for label in at_y]
     want = tuple(at_y)
-    return g_group.first_element(lambda im: _compose_images(im, at_z) == want, allowed)
+    found = g_group.first_element(lambda im: _compose_images(im, at_z) == want, allowed)
+    memo[key] = found
+    return found
 
 
 def _block_conditions(
@@ -96,10 +143,18 @@ def _block_conditions(
             "partition degree %d does not match %d x %d" % (partition.degree, dx, dy)
         )
     code = partition.code()
-    tilde = _induced_code(code, dx)
-    c1 = tilde in _factor_codes(h_group)
-    g_codes = _factor_codes(g_group)
-    c2 = all(_restricted_code(code, y, dx) in g_codes for y in range(dy))
+    g_factor = _factor(g_group)
+    tilde = _induced_code(code, _block_code(g_factor, len(code), dx), dx)
+    c1 = tilde in _factor(h_group).codes
+    c2 = True
+    for y in range(dy):
+        piece = code[y * dx : (y + 1) * dx]
+        ok = g_factor.in_pi.get(piece)
+        if ok is None:
+            ok = g_factor.in_pi[piece] = _relabel(piece, bytearray(256)) in g_factor.codes
+        if not ok:
+            c2 = False
+            break
     return code, tilde, c1, c2
 
 
@@ -178,20 +233,31 @@ def build_wreath_element(
     return k
 
 
+def _centralizer_conditions(
+    partition: SetPartition, g: Permutation
+) -> tuple[bytes, list[tuple[int, ...]], bool]:
+    """The partition's code, g's cycles, and the centralizer criterion read
+    on the code: each label meets one cycle length, and relabelling the code
+    read through g gives the code back."""
+    if partition.degree != g.degree:
+        raise ValueError("degree mismatch")
+    code = partition.code()
+    cycles = g.cycles()
+    length_of = [0] * g.degree
+    for cycle in cycles:
+        for pt in cycle:
+            length_of[pt] = len(cycle)
+    feasible = len(set(zip(code, length_of))) == max(code) + 1 and (
+        _relabel(bytes(_compose_images(g.images, code)), bytearray(256)) == code
+    )
+    return code, cycles, feasible
+
+
 def centralizer_partition_conditions(partition: SetPartition, g: Permutation) -> bool:
     """Whether the partition is the orbit partition of an element commuting
     with g: no part may mix points from g-cycles of different lengths, and
     applying g must fix the partition."""
-    if partition.degree != g.degree:
-        raise ValueError("degree mismatch")
-    length_of = [0] * g.degree
-    for cycle in g.cycles():
-        for pt in cycle:
-            length_of[pt] = len(cycle)
-    for block in partition.blocks():
-        if any(length_of[pt] != length_of[block[0]] for pt in block):
-            return False
-    return partition.apply(g) == partition
+    return _centralizer_conditions(partition, g)[2]
 
 
 def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permutation:
@@ -204,10 +270,10 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
     representative to the next, closing the loop with a shift by the least t
     that maps the chosen part back to itself under g^t.
     """
-    if not centralizer_partition_conditions(partition, g):
+    _, cycles, feasible = _centralizer_conditions(partition, g)
+    if not feasible:
         raise ValueError("partition is not realized in the centralizer")
     n = g.degree
-    cycles = g.cycles()
     cycle_index: dict[int, tuple[int, int]] = {}
     for ci, cycle in enumerate(cycles):
         for pos, pt in enumerate(cycle):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import PartitionFormatError
-from orbitlat.partitions import SetPartition, all_partitions, is_chain
+from orbitlat.partitions import SetPartition, _canonical, _check_rgs, all_partitions, is_chain
 from orbitlat.perms import Permutation
 
 
@@ -63,6 +63,23 @@ def pair_st(max_degree=9):
     )
 
 
+LABELS = st.one_of(
+    st.integers(-2, 3),
+    st.integers(250, 300),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, "0", None]),
+)
+
+
+def _verdict(check, rgs):
+    """None when `check` accepts rgs, else its ValueError message."""
+    try:
+        check(rgs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestCanonical:
     def test_from_blocks(self):
         p = SetPartition.from_blocks([[2, 3], [0], [1]], 4)
@@ -89,6 +106,26 @@ class TestCanonical:
             SetPartition((1, 0))
         with pytest.raises(ValueError):
             SetPartition((0, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4), min_size=0, max_size=300).map(_canonical),
+        st.integers(0, 299),
+        st.one_of(st.none(), LABELS),
+        st.lists(LABELS, max_size=12).map(tuple),
+        st.lists(st.integers(-2, 300), max_size=12).map(tuple),
+    )
+    def test_fast_path_matches_the_loop(self, valid, pos, label, arbitrary, ints):
+        # The constructor's bytes fast path and the position loop accept and
+        # reject the same tuples, with the same message: valid RGS of any
+        # length, each with one label replaced, and short arbitrary tuples
+        # of mixed types and of ints.
+        mutated = valid
+        if label is not None and valid:
+            pos %= len(valid)
+            mutated = valid[:pos] + (label,) + valid[pos + 1 :]
+        for rgs in (valid, mutated, arbitrary, ints):
+            assert _verdict(SetPartition, rgs) == _verdict(_check_rgs, rgs), rgs
 
     def test_text_roundtrip(self):
         p = SetPartition.from_blocks([[0, 1], [2], [3]], 4)

@@ -29,20 +29,23 @@ from orbitlat.witnesses import (
 )
 
 
+BLOCKS_6_2 = bytes((0, 0, 1, 1, 2, 2))
+
+
 class TestBlockHelpers:
     def test_induced_aligned(self):
         part = SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]], 6)
-        assert witnesses._induced_code(part.code(), 2) == SetPartition.discrete(3).code()
+        assert witnesses._induced_code(part.code(), BLOCKS_6_2, 2) == SetPartition.discrete(3).code()
 
     def test_induced_crossing(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
-        assert witnesses._induced_code(part.code(), 2) == SetPartition.from_blocks(
+        assert witnesses._induced_code(part.code(), BLOCKS_6_2, 2) == SetPartition.from_blocks(
             [[0, 1], [2]], 3
         ).code()
 
     def test_induced_single_block(self):
         assert witnesses._induced_code(
-            SetPartition.single_block(6).code(), 3
+            SetPartition.single_block(6).code(), bytes((0, 0, 0, 1, 1, 1)), 3
         ) == SetPartition.single_block(2).code()
 
     @pytest.mark.parametrize("degree,dx", [(8, 2), (8, 4), (9, 3)])
@@ -52,15 +55,28 @@ class TestBlockHelpers:
         blocks = SetPartition.from_blocks(
             [range(y, y + dx) for y in range(0, degree, dx)], degree
         )
+        factor = witnesses._factor(symmetric_group(dx))
+        assert witnesses._block_code(factor, degree, dx) == blocks.code()
         for part in all_partitions(degree):
             want = bytes(_join_oracle(part, blocks).rgs[::dx])
-            assert witnesses._induced_code(part.code(), dx) == want, str(part)
+            assert witnesses._induced_code(part.code(), blocks.code(), dx) == want, str(part)
 
     def test_restricted(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
         assert witnesses._restricted_code(part.code(), 0, 2) == SetPartition.discrete(2).code()
         assert witnesses._restricted_code(part.code(), 1, 2) == SetPartition.discrete(2).code()
         assert witnesses._restricted_code(part.code(), 2, 2) == SetPartition.single_block(2).code()
+
+
+def _cycle_types(n, most=None):
+    """Every partition of the integer n into parts of at most `most`, as
+    non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _cycle_types(n - first, first):
+            yield (first,) + rest
 
 
 class TestCentralizerWitness:
@@ -104,6 +120,21 @@ class TestCentralizerWitness:
                 assert centralizer_partition_conditions(part, g)
                 h = build_centralizer_element(part, g)
                 assert h * g == g * h and h.orbit_partition() == part
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_criterion_matches_centralizer_group_pi(self, degree):
+        # One g of each cycle type: the verdict on every partition equals
+        # membership in pi of the centralizer built from its spec.
+        for lengths in _cycle_types(degree):
+            cycles, start = [], 1
+            for length in lengths:
+                cycles.append("(%s)" % " ".join(map(str, range(start, start + length))))
+                start += length
+            g = Permutation.from_cycles("".join(cycles), degree)
+            realized = pi_set(build_group("cent:%s@%d" % ("".join(cycles), degree))).codes
+            for part in all_partitions(degree):
+                feasible = centralizer_partition_conditions(part, g)
+                assert feasible == (part.code() in realized), (str(g), str(part))
 
     def test_infeasible_message(self):
         g = Permutation.from_cycles("(1 2 3)", 4)
@@ -169,7 +200,7 @@ class TestFactorCodes:
     """The wreath criterion reads each factor's pi-set from a small cache."""
 
     def test_each_factor_streamed_once(self, monkeypatch):
-        witnesses._factor_codes.cache_clear()
+        witnesses._factor.cache_clear()
         streamed = []
 
         def counted(group, cap):
@@ -184,19 +215,45 @@ class TestFactorCodes:
         assert sorted(map(id, streamed)) == sorted([id(g), id(h)])
 
     def test_cache_is_bounded(self):
-        witnesses._factor_codes.cache_clear()
+        witnesses._factor.cache_clear()
         h = cyclic_group(2)
         for _ in range(20):
             g = cyclic_group(2)
             assert wreath_partition_conditions(SetPartition.discrete(4), g, h).overall
-        assert witnesses._factor_codes.cache_info().currsize == 16
+        assert witnesses._factor.cache_info().currsize == 16
+
+    def test_memos_are_bounded_with_their_records(self):
+        # The first matches, c2 verdicts and realizing elements live in the
+        # factor's record, so 20 factor groups leave 16 records, each with
+        # the memos of its own factor only.  Blocks 1 and 2 of the partition
+        # carry the labels 1,2 and 2,1, so the pair is kept by its canonical
+        # code 0,1,1,0 and c2 by the raw slices.
+        witnesses._factor.cache_clear()
+        h = symmetric_group(3)
+        part = SetPartition((0, 0, 1, 2, 2, 1))
+        factors = [cyclic_group(2) for _ in range(20)]
+        for g in factors:
+            assert wreath_partition_conditions(part, g, h).overall
+            assert build_wreath_element(part, g, h).orbit_partition() == part
+        assert witnesses._factor.cache_info().currsize == 16
+        record = witnesses._factor(factors[-1])
+        # The builder also aligns block 0 with itself, and block 2 with
+        # block 1 under the same key as block 1 with block 2.
+        assert record.first_match == {
+            bytes((0, 1, 1, 0)): Permutation((1, 0)),
+            bytes((0, 0, 0, 0)): Permutation((0, 1)),
+        }
+        assert record.in_pi == {bytes((0, 0)): True, bytes((1, 2)): True, bytes((2, 1)): True}
+        assert sorted(record.realizing) == [bytes((0, 0)), bytes((0, 1))]
+        assert record.block_codes == {6: bytes((0, 0, 1, 1, 2, 2))}
+        assert list(witnesses._factor(h).realizing) == [bytes((0, 1, 1))]
 
     def test_factor_order_above_the_default_cap(self, monkeypatch):
         # The witness paths stream a factor whatever its order: witness-wreath
         # has no --cap, so a factor above the default cap is still decided.
         monkeypatch.setattr(groups.pi_set, "__defaults__", (10, 1))
         monkeypatch.setattr(coherence.find_witness_element, "__defaults__", (10,))
-        witnesses._factor_codes.cache_clear()
+        witnesses._factor.cache_clear()
         g, h = symmetric_group(4), cyclic_group(2)
         part = SetPartition.from_blocks([[0, 1, 2, 3], [4, 5], [6], [7]], 8)
         assert wreath_partition_conditions(part, g, h).overall
@@ -250,6 +307,7 @@ class TestPrunedSearch:
         g = build_group(inner)
         dx, dy = g.degree, build_group(outer).degree
         elements = list(g.elements())
+        witnesses._factor.cache_clear()
         for part in all_partitions(dx * dy):
             code = part.code()
             for y, z in itertools.permutations(range(dy), 2):
@@ -257,7 +315,40 @@ class TestPrunedSearch:
                 expected = next(
                     (c for c in elements if all(at_z[c(x)] == at_y[x] for x in range(dx))), None
                 )
-                assert witnesses._translation(g, code, dx, y, z) == expected
+                if sorted(at_y) != sorted(at_z):
+                    assert expected is None
+                # The second call reads the first match from the memo.
+                for _ in range(2):
+                    assert witnesses._translation(g, code, dx, y, z) == expected
+
+
+def _centralizer_cases(rng, count):
+    """Seeded (g, partition) pairs of degree 8-40: g has cycles of lengths
+    1-6, and the partition is the cycle partition of a random element
+    commuting with g (cycles of equal length permuted, each mapped on with a
+    random rotation), so every case is feasible."""
+    for _ in range(count):
+        n = rng.randint(8, 40)
+        points = list(range(n))
+        rng.shuffle(points)
+        cycles, pos = [], 0
+        while pos < n:
+            length = rng.randint(1, min(6, n - pos))
+            cycles.append(points[pos : pos + length])
+            pos += length
+        g, h = [0] * n, [0] * n
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                g[a] = b
+        for length in sorted({len(c) for c in cycles}):
+            same = [c for c in cycles if len(c) == length]
+            targets = same[:]
+            rng.shuffle(targets)
+            for src, dst in zip(same, targets):
+                shift = rng.randrange(length)
+                for k, pt in enumerate(src):
+                    h[pt] = dst[(k + shift) % length]
+        yield Permutation(tuple(g)), Permutation(tuple(h)).orbit_partition()
 
 
 class TestPinnedWitnesses:
@@ -279,6 +370,15 @@ class TestPinnedWitnesses:
                     h.update(bytes(build_wreath_element(part, g, k).images))
                 h.update(b";")
         assert h.hexdigest() == "44f720d8a2d606d40012aa98783aebee6332fa8f64294b39c436fd5637639ad7"
+
+    def test_centralizer_witnesses_are_pinned(self):
+        # sha256 over the built element's images for 500 seeded feasible
+        # cases, recorded from the builder on SetPartition objects.
+        h = hashlib.sha256()
+        for g, part in _centralizer_cases(random.Random(20261019), 500):
+            h.update(bytes(build_centralizer_element(part, g).images))
+            h.update(b";")
+        assert h.hexdigest() == "710cf6e4ba8c46307ec95d7ed11ec168ea6a6eeaa4fca7d463240accb51336ea"
 
     @pytest.mark.parametrize(
         "command,calls,digest",
