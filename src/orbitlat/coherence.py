@@ -85,7 +85,7 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
             continue
         for b in codes[i + 1 :]:
             if op(a, b) not in codeset:
-                return SetPartition(tuple(a)), SetPartition(tuple(b))
+                return SetPartition._trusted(a), SetPartition._trusted(b)
         cleared.add(a)
         _close_codes(cleared, [a], gens)
     return None

@@ -83,9 +83,6 @@ class Field:
                 return a
         raise AssertionError("no primitive element found")
 
-    def elements(self) -> range:
-        return range(self.q)
-
 
 def _vec_of_code(code: int, p: int, e: int) -> tuple[int, ...]:
     out = []

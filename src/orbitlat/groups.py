@@ -345,11 +345,6 @@ class PermGroup:
         found = search(0, self._chain.identity)
         return None if found is None else Permutation(found)
 
-    def elements(self) -> Iterator[Permutation]:
-        """All elements in deterministic stream order, each exactly once."""
-        for im in self._chain.element_images():
-            yield Permutation(im)
-
     def orbits(self) -> list[list[int]]:
         """Orbits on points, by breadth-first closure under the generators."""
         return _orbits([g.images for g in self.generators], range(self.degree))
@@ -381,7 +376,7 @@ class PiSet:
     def partitions(self) -> Iterator[SetPartition]:
         """All member partitions, sorted by canonical code."""
         for code in sorted(self.codes):
-            yield SetPartition._trusted(tuple(code))
+            yield SetPartition._trusted(code)
 
 
 def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiSet:

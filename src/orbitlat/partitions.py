@@ -3,10 +3,11 @@
 A partition is stored as a restricted-growth string (RGS): position i holds
 the block label of point i, labels appearing in first-use order starting at 0.
 The RGS is a canonical form, so equal partitions have equal codes and the
-tuple doubles as a hash key.
+code doubles as a hash key.  It is kept as bytes, so the degree must be
+below 256; that is checked once, when a partition is built.
 
-Join and meet work on the RGS as bytes (`code()`, degree below 256): join by
-a union-find over the labels of one code, meet by numbering label pairs.
+Join and meet work on the codes: join by a union-find over the labels of
+one code, meet by numbering label pairs.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from typing import Iterable, Iterator
 from .errors import PartitionFormatError
 
 
-def _canonical(labels) -> tuple[int, ...]:
-    """Relabel an arbitrary labelling into restricted-growth form."""
-    ids: dict = {}
-    return tuple([ids.setdefault(lab, len(ids)) for lab in labels])
-
-
 def _relabel(code: bytes, table: bytearray) -> bytes:
     """Canonical form of a bytes labelling: labels renumbered by first use,
     through `table`, a 256-byte scratch buffer that a loop allocates once."""
@@ -31,9 +26,16 @@ def _relabel(code: bytes, table: bytearray) -> bytes:
     return code.translate(table)
 
 
+def _check_degree(degree: int) -> None:
+    if degree > 255:
+        raise ValueError("codes need degree below 256, got %d" % degree)
+
+
 def _check_rgs(rgs) -> None:
-    """Raise ValueError naming the first position where `rgs` stops being a
-    restricted-growth string of ints, or for an empty one."""
+    """Raise ValueError for a degree of 256 or more, else name the first
+    position where `rgs` stops being a restricted-growth string of ints, or
+    refuse an empty one."""
+    _check_degree(len(rgs))
     mx = -1
     for i, lab in enumerate(rgs):
         if not isinstance(lab, int) or lab < 0 or lab > mx + 1:
@@ -82,13 +84,13 @@ def meet_codes(a: bytes, b: bytes) -> bytes:
 class SetPartition:
     """A partition of {0..degree-1} in canonical restricted-growth form."""
 
-    rgs: tuple[int, ...]
+    rgs: bytes
 
     def __post_init__(self):
-        # Fast path: a short tuple of plain ints in 0..255 is an RGS exactly
-        # when relabelling its bytes by first use leaves them unchanged.
+        # Fast path: bytes, or a short tuple of plain ints in 0..255, is an
+        # RGS exactly when relabelling it by first use leaves it unchanged.
         # Anything else gets the verdict and message of the position loop.
-        rgs = self.rgs
+        rgs = code = self.rgs
         if (
             type(rgs) is tuple
             and 0 < len(rgs) < 256
@@ -97,15 +99,20 @@ class SetPartition:
             and max(rgs) < 256
         ):
             code = bytes(rgs)
-            if _relabel(code, bytearray(256)) == code:
-                return
-        _check_rgs(rgs)
+        if not (
+            type(code) is bytes
+            and 0 < len(code) < 256
+            and _relabel(code, bytearray(256)) == code
+        ):
+            _check_rgs(rgs)
+            code = bytes(rgs)
+        object.__setattr__(self, "rgs", code)
 
     @classmethod
-    def _trusted(cls, rgs: tuple[int, ...]) -> SetPartition:
-        """Wrap an RGS tuple made in this package, skipping the input checks."""
+    def _trusted(cls, code: bytes) -> SetPartition:
+        """Wrap a canonical code made in this package, skipping the checks."""
         part = object.__new__(cls)
-        object.__setattr__(part, "rgs", rgs)
+        object.__setattr__(part, "rgs", code)
         return part
 
     @property
@@ -119,6 +126,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], degree: int) -> SetPartition:
         """Build from explicit blocks; they must be disjoint, nonempty and cover."""
+        _check_degree(degree)
         labels = [-1] * degree
         for k, block in enumerate(blocks):
             block = list(block)
@@ -132,15 +140,7 @@ class SetPartition:
                 labels[pt] = k
         if -1 in labels:
             raise ValueError("point %d not covered" % labels.index(-1))
-        return cls(_canonical(labels))
-
-    @classmethod
-    def discrete(cls, degree: int) -> SetPartition:
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def single_block(cls, degree: int) -> SetPartition:
-        return cls((0,) * degree)
+        return cls(_relabel(bytes(labels), bytearray(256)))
 
     @classmethod
     def from_string(cls, text: str, degree: int) -> SetPartition:
@@ -170,18 +170,16 @@ class SetPartition:
         return out
 
     def code(self) -> bytes:
-        """Compact canonical key (degree must stay below 256)."""
-        if len(self.rgs) > 255:
-            raise ValueError("codes need degree below 256, got %d" % len(self.rgs))
-        return bytes(self.rgs)
+        """The canonical code, as stored."""
+        return self.rgs
 
     def join(self, other: SetPartition) -> SetPartition:
         self._check(other)
-        return SetPartition._trusted(tuple(join_codes(self.code(), other.code())))
+        return SetPartition._trusted(join_codes(self.rgs, other.rgs))
 
     def meet(self, other: SetPartition) -> SetPartition:
         self._check(other)
-        return SetPartition._trusted(tuple(meet_codes(self.code(), other.code())))
+        return SetPartition._trusted(meet_codes(self.rgs, other.rgs))
 
     __or__ = join
     __and__ = meet
@@ -195,15 +193,6 @@ class SetPartition:
             if other.rgs[i] != want:
                 return False
         return True
-
-    def apply(self, g) -> SetPartition:
-        """Image partition under a permutation: blocks are mapped pointwise."""
-        if len(g.images) != self.degree:
-            raise ValueError("degree mismatch")
-        labels = [0] * self.degree
-        for i, lab in enumerate(self.rgs):
-            labels[g.images[i]] = lab
-        return SetPartition._trusted(_canonical(labels))
 
     def _check(self, other: SetPartition):
         if self.degree != other.degree:
@@ -228,10 +217,11 @@ def is_chain(parts: Iterable[SetPartition]) -> bool:
 
 def all_partitions(degree: int) -> Iterator[SetPartition]:
     """Every partition of {0..degree-1}, by iterating restricted-growth strings."""
-    rgs = [0] * degree
+    _check_degree(degree)
+    rgs = bytearray(degree)
     mx = [0] * degree
     while True:
-        yield SetPartition._trusted(tuple(rgs))
+        yield SetPartition._trusted(bytes(rgs))
         i = degree - 1
         while i > 0 and rgs[i] == mx[i - 1] + 1:
             i -= 1

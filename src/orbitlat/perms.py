@@ -13,7 +13,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import CycleNotationError
-from .partitions import SetPartition
+from .partitions import SetPartition, _check_degree
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -160,7 +160,8 @@ class Permutation:
 
     def orbit_partition(self) -> SetPartition:
         """The partition of {0..n-1} into this permutation's cycles."""
-        return SetPartition._trusted(tuple(_orbit_rgs(self.images)))
+        _check_degree(self.degree)
+        return SetPartition._trusted(_orbit_rgs(self.images))
 
     def cycle_string(self) -> str:
         """1-based cycle notation; fixed points omitted; identity is "()"."""

@@ -74,7 +74,7 @@ def _realizing(group: PermGroup, code: bytes) -> Permutation:
     memo = _factor(group).realizing
     found = memo.get(code)
     if found is None:
-        partition = SetPartition._trusted(tuple(code))
+        partition = SetPartition._trusted(code)
         found = find_witness_element(group, partition, cap=group.order)
         if found is None:
             raise PostconditionError("no element of the factor realizes %s" % partition)

@@ -55,7 +55,7 @@ class TestNamedFamilies:
             assert dihedral_group(n).order == (2 * n if n >= 3 else n)
 
     def test_alternating_elements_even(self):
-        for p in alternating_group(5).elements():
+        for p in map(Permutation, alternating_group(5).element_images()):
             assert sign(p) == 1
 
     def test_cyclic_regular(self):
@@ -113,7 +113,7 @@ class TestProducts:
         assert w.order == 6**2 * 2
         blocks = SetPartition.from_blocks([[0, 1, 2], [3, 4, 5]], 6)
         rgs = blocks.rgs
-        for p in w.elements():
+        for p in map(Permutation, w.element_images()):
             assert len({rgs[p(x)] for x in (0, 1, 2)}) == 1
 
     def test_wreath_with_intransitive_outer(self):

@@ -298,7 +298,7 @@ class TestPiSet:
     def test_codes_match_elementwise_partitions(self):
         group = symmetric_group(4)
         pi = pi_set(group)
-        expected = {p.orbit_partition().code() for p in group.elements()}
+        expected = {p.orbit_partition().code() for p in map(Permutation, group.element_images())}
         assert pi.codes == expected
         assert pi.source_order == 24
         assert len(pi) == 15
@@ -307,8 +307,8 @@ class TestPiSet:
         pi = pi_set(symmetric_group(3))
         listed = list(pi.partitions())
         assert listed == sorted(listed, key=lambda p: p.code())
-        assert SetPartition.single_block(3).code() in pi.codes
-        assert SetPartition.discrete(3).code() in pi.codes
+        assert SetPartition(bytes(3)).code() in pi.codes
+        assert SetPartition(bytes(range(3))).code() in pi.codes
 
     def test_cap(self):
         with pytest.raises(CapExceeded) as exc:

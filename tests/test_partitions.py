@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import PartitionFormatError
-from orbitlat.partitions import SetPartition, _canonical, _check_rgs, all_partitions, is_chain
+from orbitlat.partitions import SetPartition, _check_rgs, all_partitions, is_chain
 from orbitlat.perms import Permutation
 
 
@@ -35,6 +35,19 @@ def meet_oracle(P, Q):
             if c:
                 out.append(c)
     return SetPartition.from_blocks(out, P.degree)
+
+
+def canonical(labels):
+    """Relabel a tuple of labels by first use."""
+    ids = {}
+    return tuple(ids.setdefault(lab, len(ids)) for lab in labels)
+
+
+def image(partition, g):
+    """The partition whose blocks are the images of the blocks of
+    `partition` under the permutation g, mapped point by point."""
+    blocks = [[g(x) for x in block] for block in partition.blocks()]
+    return SetPartition.from_blocks(blocks, partition.degree)
 
 
 def random_partition(rng, degree):
@@ -83,7 +96,7 @@ def _verdict(check, rgs):
 class TestCanonical:
     def test_from_blocks(self):
         p = SetPartition.from_blocks([[2, 3], [0], [1]], 4)
-        assert p.rgs == (0, 1, 2, 2)
+        assert p.rgs == bytes((0, 1, 2, 2))
         assert p.blocks() == [[0], [1], [2, 3]]
 
     def test_block_order_irrelevant(self):
@@ -109,11 +122,15 @@ class TestCanonical:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.integers(0, 4), min_size=0, max_size=300).map(_canonical),
+        st.lists(st.integers(0, 4), min_size=0, max_size=300).map(canonical),
         st.integers(0, 299),
         st.one_of(st.none(), LABELS),
         st.lists(LABELS, max_size=12).map(tuple),
-        st.lists(st.integers(-2, 300), max_size=12).map(tuple),
+        st.one_of(
+            st.lists(st.integers(-2, 300), max_size=12).map(tuple),
+            st.lists(st.integers(0, 255), max_size=300).map(bytes),
+            st.lists(st.integers(0, 4), max_size=300).map(canonical).map(bytes),
+        ),
     )
     def test_fast_path_matches_the_loop(self, valid, pos, label, arbitrary, ints):
         # The constructor's bytes fast path and the position loop accept and
@@ -139,6 +156,33 @@ class TestCanonical:
             SetPartition.from_string("{1,2||3}", 3)
         with pytest.raises(PartitionFormatError):
             SetPartition.from_string("{1,2}", 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: SetPartition(tuple(range(n))),
+            lambda n: SetPartition((0,) * n),
+            lambda n: SetPartition(bytes(n)),
+            lambda n: SetPartition.from_blocks([[x] for x in range(n)], n),
+            lambda n: next(all_partitions(n)),
+        ],
+        ids=["tuple", "zeros", "bytes", "from_blocks", "all_partitions"],
+    )
+    def test_degree_below_256(self, build):
+        # A code holds one byte per point: degree 255 is built, and degree
+        # 256 or more is refused when the partition is built.
+        assert build(255).degree == 255
+        for n in (256, 300):
+            with pytest.raises(ValueError, match="codes need degree below 256, got %d" % n):
+                build(n)
+
+    def test_text_degree_below_256(self):
+        def text(n):
+            return "{%s}" % "|".join(str(x + 1) for x in range(n))
+
+        assert SetPartition.from_string(text(255), 255).block_count == 255
+        with pytest.raises(PartitionFormatError, match="below 256, got 256"):
+            SetPartition.from_string(text(256), 256)
 
 
 class TestLattice:
@@ -195,12 +239,12 @@ class TestLattice:
         q = SetPartition.from_blocks([[0, 2], [1]], 3)
         r = SetPartition.from_blocks([[1, 2], [0]], 3)
         assert p & (q | r) == p
-        assert (p & q) | (p & r) == SetPartition.discrete(3)
+        assert (p & q) | (p & r) == SetPartition(bytes(range(3)))
 
     def test_bounds(self):
         p = SetPartition.from_blocks([[0, 2], [1]], 3)
-        assert SetPartition.discrete(3).refines(p)
-        assert p.refines(SetPartition.single_block(3))
+        assert SetPartition(bytes(range(3))).refines(p)
+        assert p.refines(SetPartition(bytes(3)))
 
     def test_refines_iff_join_meet(self):
         for n in (2, 3, 4):
@@ -213,14 +257,14 @@ class TestLattice:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            SetPartition.discrete(3) | SetPartition.discrete(4)
+            SetPartition(bytes(range(3))) | SetPartition(bytes(range(4)))
 
 
 class TestApply:
     def test_blocks_move(self):
         p = SetPartition.from_blocks([[0, 1], [2, 3]], 4)
         g = Permutation.from_cycles("(1 3)", 4)
-        assert p.apply(g).blocks() == [[0, 3], [1, 2]]
+        assert image(p, g).blocks() == [[0, 3], [1, 2]]
 
     def test_join_commutes_with_apply(self):
         rng = random.Random(7)
@@ -230,8 +274,8 @@ class TestApply:
             images = list(range(n))
             rng.shuffle(images)
             g = Permutation(tuple(images))
-            assert (p | q).apply(g) == p.apply(g) | q.apply(g)
-            assert (p & q).apply(g) == p.apply(g) & q.apply(g)
+            assert image(p | q, g) == image(p, g) | image(q, g)
+            assert image(p & q, g) == image(p, g) & image(q, g)
 
 
 class TestChains:
@@ -242,9 +286,9 @@ class TestChains:
             powers.append(powers[-1] * g)
         parts = {p.orbit_partition() for p in powers}
         assert parts == {
-            SetPartition.discrete(4),
+            SetPartition(bytes(range(4))),
             SetPartition.from_blocks([[0, 2], [1, 3]], 4),
-            SetPartition.single_block(4),
+            SetPartition(bytes(4)),
         }
         assert is_chain(parts)
 
@@ -255,7 +299,7 @@ class TestChains:
 
     def test_singleton_and_empty(self):
         assert is_chain([])
-        assert is_chain([SetPartition.discrete(5)])
+        assert is_chain([SetPartition(bytes(range(5)))])
 
 
 class TestCoarseningMaps:
@@ -292,7 +336,7 @@ class TestCoarseningMaps:
         p = SetPartition.from_blocks([[0, 2], [1]], 3)
         q = SetPartition.from_blocks([[1, 2], [0]], 3)
         assert (p & q) | b == b
-        assert (p | b) & (q | b) == SetPartition.single_block(3)
+        assert (p | b) & (q | b) == SetPartition(bytes(3))
 
 
 class TestEnumeration:

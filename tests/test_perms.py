@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import CycleNotationError
+from orbitlat.partitions import SetPartition
 from orbitlat.perms import Permutation, _compose_images
 
 
 def perm(text, n):
     return Permutation.from_cycles(text, n)
+
+
+def image(partition, g):
+    """The partition whose blocks are the images of the blocks of
+    `partition` under the permutation g, mapped point by point."""
+    blocks = [[g(x) for x in block] for block in partition.blocks()]
+    return SetPartition.from_blocks(blocks, partition.degree)
 
 
 @st.composite
@@ -134,6 +142,18 @@ class TestOrbitPartition:
     def test_identity_is_discrete(self):
         assert Permutation.identity(4).orbit_partition().block_count == 4
 
+    def test_degree_below_256(self):
+        # The identity and a full cycle are refused alike from degree 256,
+        # before any coding, with the partition constructor's message.
+        for n in (255, 256, 300):
+            cycle = Permutation(tuple(range(1, n)) + (0,))
+            for p in (Permutation.identity(n), cycle):
+                if n == 255:
+                    assert p.orbit_partition().degree == 255
+                else:
+                    with pytest.raises(ValueError, match="below 256, got %d" % n):
+                        p.orbit_partition()
+
     @given(permutations())
     def test_inverse_same_partition(self, p):
         assert p.orbit_partition() == p.inverse().orbit_partition()
@@ -148,7 +168,7 @@ class TestConjugation:
     @settings(max_examples=50)
     def test_partition_transport(self, p, h):
         if p.degree == h.degree:
-            assert (h.inverse() * p * h).orbit_partition() == p.orbit_partition().apply(h)
+            assert (h.inverse() * p * h).orbit_partition() == image(p.orbit_partition(), h)
 
     @given(permutations(), permutations())
     @settings(max_examples=50)

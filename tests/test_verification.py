@@ -1,6 +1,7 @@
 import pytest
 
 import orbitlat.verification as verification
+from orbitlat.partitions import SetPartition
 from orbitlat.verification import (
     ClaimResult,
     FAST_CLAIMS,
@@ -80,19 +81,19 @@ class TestOracleClaims:
         assert "distributivity" in detail
 
     def test_tampered_join_breaks_oracle_agreement(self, monkeypatch):
-        monkeypatch.setattr(verification, "_join", lambda a, b: a)
+        monkeypatch.setattr(SetPartition, "__or__", lambda a, b: a)
         ok, detail = verification._claim_lattice_oracles()
         assert not ok
         assert "join" in detail
 
     def test_tampered_join_breaks_commutativity(self, monkeypatch):
-        monkeypatch.setattr(verification, "_join", lambda a, b: a)
+        monkeypatch.setattr(SetPartition, "__or__", lambda a, b: a)
         ok, detail = verification._claim_lattice_axioms()
         assert not ok
         assert "commutativity" in detail
 
     def test_tampered_meet_is_detected(self, monkeypatch):
-        monkeypatch.setattr(verification, "_meet", lambda a, b: b)
+        monkeypatch.setattr(SetPartition, "__and__", lambda a, b: b)
         ok, detail = verification._claim_lattice_oracles()
         assert not ok
         assert "meet" in detail
