@@ -3,10 +3,13 @@
 A group is join-coherent when the set of its elements' orbit partitions is
 closed under the lattice join, and meet-coherent for the meet.  Both are
 decided by one serial scan of the pairs of distinct partitions in
-lexicographic order of their canonical codes, which skips the rows (one
-partition against every later one) already settled by the group's symmetry
-or by the single-block partition.  The first failing pair found this way is
-the lexicographically least one, which makes failure reports reproducible.
+lexicographic order of their canonical codes.  The scan skips a row (one
+partition against every later one) or a column already settled by the
+group's symmetry or by the single-block partition, and passes a row with no
+pairwise work when every partition above it (join) or below it (meet) is in
+the set.  Only pairs that cannot fail are skipped, so the first failing pair
+found is the lexicographically least one, which makes failure reports
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,12 +18,20 @@ import json
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from math import gcd
 
 from .arith import factorize, is_prime_power
 from .errors import CapExceeded
 from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _close_codes, pi_set, subgroups
-from .partitions import SetPartition, is_chain, join_codes, meet_codes
+from .partitions import (
+    SetPartition,
+    _coarsenings,
+    _refinements,
+    is_chain,
+    join_codes,
+    meet_codes,
+)
 from .perms import Permutation, _image_order, _orbit_rgs
 
 _REPORT_FIELDS = (
@@ -63,31 +74,89 @@ class CoherenceReport:
         )
 
 
+def _bell_numbers(count: int) -> tuple[int, ...]:
+    """B(0)..B(count - 1), by the Bell triangle."""
+    bell, row = [1], [1]
+    while len(bell) < count:
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bell.append(row[0])
+    return tuple(bell)
+
+
+# Partitions of k points, read at min(k, 25).  B(25) > 4 * 10**18 exceeds the
+# length of any list of codes, so a clamped count compares with one the same.
+_BELL = _bell_numbers(26)
+
+
+def _interval_size(code: bytes, join: bool, limit: int) -> int:
+    """How many codes lie above (join) or below (meet) `code`, or some number
+    above `limit` once the count passes it."""
+    k = max(code) + 1
+    if join:
+        return _BELL[min(k, 25)]
+    size = 1
+    for label in range(k):
+        size *= _BELL[min(code.count(label), 25)]
+        if size > limit:
+            break
+    return size
+
+
 def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: str):
     """First pair (by code order) whose join/meet escapes the set, or None.
 
-    Rows are scanned in code order, each against every later code, and the
-    scan stops at the first failure, so the witness is the lex-least failing
-    pair.  A row whose code is in `cleared` is skipped: its pairs are known to
-    be closed.  The single-block code starts there (a | 1 = 1, a & 1 = a);
-    after a row passes, its whole orbit under the generators joins it (by
-    `groups._close_codes`), because pi(G) is G-invariant and join and meet
-    commute with the action.  The kernels take
-    and return bytes codes, so a pair is one kernel call and one lookup.
+    Rows are scanned in code order, each against later codes, and the scan
+    stops at the first failure, so the witness is the lex-least failing pair.
+    `cleared` holds codes whose pairs are all known to be closed: the
+    single-block code (a | 1 = 1, a & 1 = a), and the orbit under the
+    generators (by `groups._close_codes`) of each row that passed, because
+    pi(G) is G-invariant and join and meet commute with the action.  A row in
+    `cleared` is skipped, and so is a column in it.
+
+    A row passes with no kernel call when its interval lies in pi(G): every
+    a | b is a coarsening of a and every a & b a refinement of a.  The
+    interval is listed only when it holds at most half as many codes as the
+    row has columns, the later codes not in `cleared`, and the listing stops
+    at its first code outside pi(G).  A row or pair skipped either way has no
+    failing pair, so the witness is the one the full ordered scan finds.
+    The kernels take and return bytes codes, so a pair is one kernel call
+    and one lookup.
     """
-    op = join_codes if op_name == "join" else meet_codes
+    join = op_name == "join"
+    op = join_codes if join else meet_codes
+    interval = _coarsenings if join else _refinements
     codes = sorted(pi.codes)
     codeset = pi.codes
     gens = [g.images for g in generators]
-    cleared = {bytes(pi.degree)}
+    top = bytes(pi.degree)
+    cleared = {top}
+    # Every code lies below the single block, so when pi(G) lacks it no
+    # row's coarsenings all lie in pi(G).
+    by_interval = not join or top in codeset
+    # A row's orbit adds only later codes: an earlier one would have been
+    # a row that passed, and so would have cleared this one.
+    columns = len(codes) - (top in codeset)
     for i, a in enumerate(codes):
         if a in cleared:
             continue
-        for b in codes[i + 1 :]:
-            if op(a, b) not in codeset:
-                return SetPartition._trusted(a), SetPartition._trusted(b)
+        columns -= 1
+        # Listing a code costs about as much as a kernel call, and a listing
+        # can fail at its last code, so a row lists at most half its columns.
+        if not (
+            by_interval
+            and _interval_size(a, join, columns // 2) <= columns // 2
+            and all(map(codeset.__contains__, interval(a)))
+        ):
+            for b in filterfalse(cleared.__contains__, islice(codes, i + 1, None)):
+                if op(a, b) not in codeset:
+                    return SetPartition._trusted(a), SetPartition._trusted(b)
         cleared.add(a)
+        before = len(cleared)
         _close_codes(cleared, [a], gens)
+        columns -= len(cleared) - before
     return None
 
 

@@ -7,15 +7,22 @@ code doubles as a hash key.  It is kept as bytes, so the degree must be
 below 256; that is checked once, when a partition is built.
 
 Join and meet work on the codes: join by a union-find over the labels of
-one code, meet by numbering label pairs.
+one code, meet by numbering label pairs.  `partition_codes` lists every code
+of a degree, and `_coarsenings` and `_refinements` list the codes above and
+below one code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import PartitionFormatError
+
+_IDENTITY = bytes(range(256))
+_TAILS = [bytes([label]) for label in range(256)]
 
 
 def _relabel(code: bytes, table: bytearray) -> bytes:
@@ -215,20 +222,75 @@ def is_chain(parts: Iterable[SetPartition]) -> bool:
     return True
 
 
-def all_partitions(degree: int) -> Iterator[SetPartition]:
-    """Every partition of {0..degree-1}, by iterating restricted-growth strings."""
+def partition_codes(degree: int) -> Iterator[bytes]:
+    """Every restricted-growth code of the given degree, in lex order: each
+    head (the first degree - 1 labels) in lex order, followed by every last
+    label up to one past the head's largest."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     _check_degree(degree)
-    rgs = bytearray(degree)
-    mx = [0] * degree
+    if degree == 1:
+        yield b"\0"
+        return
+    last = degree - 1
+    head = bytearray(last)
+    top = [0] * last  # top[i] is the largest label in head[: i + 1]
     while True:
-        yield SetPartition._trusted(bytes(rgs))
-        i = degree - 1
-        while i > 0 and rgs[i] == mx[i - 1] + 1:
+        prefix = bytes(head)
+        for tail in _TAILS[: top[-1] + 2]:
+            yield prefix + tail
+        i = last - 1
+        while i > 0 and head[i] > top[i - 1]:
             i -= 1
         if i == 0:
             return
-        rgs[i] += 1
-        mx[i] = max(mx[i - 1], rgs[i])
-        for j in range(i + 1, degree):
-            rgs[j] = 0
-            mx[j] = mx[i]
+        head[i] += 1
+        top[i] = max(top[i - 1], head[i])
+        for j in range(i + 1, last):
+            head[j] = 0
+            top[j] = top[i]
+
+
+# The codes of degree 1..6, the block sizes `_refinements` splits most often.
+_SPLITS = [()] + [tuple(partition_codes(degree)) for degree in range(1, 7)]
+
+
+def all_partitions(degree: int) -> Iterator[SetPartition]:
+    """Every partition of {0..degree-1}, in lex order of their codes."""
+    return map(SetPartition._trusted, partition_codes(degree))
+
+
+def _coarsenings(code: bytes) -> Iterator[bytes]:
+    """Every partition that the canonical `code` refines, as codes.  Each
+    merges the k labels of `code` by an RGS on them; as `code` uses its
+    labels in first-use order, the translated code is canonical as it is."""
+    k = max(code) + 1
+    pad = _IDENTITY[k:]
+    for merge in partition_codes(k):
+        yield code.translate(merge + pad)
+
+
+def _refinements(code: bytes) -> Iterator[bytes]:
+    """Every partition that refines the canonical `code`, as codes.  Each
+    splits every block by an RGS on its points, shifted past the labels of
+    the blocks before it; the split labels, laid out block after block, are
+    read back in point order and relabelled by first use."""
+    n = len(code)
+    if n == 1:
+        yield code
+        return
+    order = sorted(range(n), key=code.__getitem__)
+    read = itemgetter(*sorted(range(n), key=order.__getitem__))
+    splits = []
+    start = 0
+    for label in range(max(code) + 1):
+        size = code.count(label)
+        split = _SPLITS[size] if size < len(_SPLITS) else list(partition_codes(size))
+        if start:
+            shift = _IDENTITY[start:] + _IDENTITY[:start]
+            split = [labels.translate(shift) for labels in split]
+        splits.append(split)
+        start += size
+    table = bytearray(256)
+    for choice in product(*splits):
+        yield _relabel(bytes(read(b"".join(choice))), table)

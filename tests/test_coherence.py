@@ -17,10 +17,20 @@ from orbitlat.coherence import (
 )
 from orbitlat.constructions import build_group, cyclic_group, symmetric_group
 from orbitlat.errors import CapExceeded
-from orbitlat.groups import PermGroup, pi_set, subgroups
+from orbitlat.groups import PermGroup, _close_codes, pi_set, subgroups
 from orbitlat.partitions import SetPartition, is_chain, join_codes, meet_codes
 from orbitlat.perms import Permutation, _orbit_rgs
-from orbitlat.verification import _join_oracle, _meet_oracle
+from orbitlat.verification import _join_oracle, _meet_oracle, _packaged_group
+
+
+# The groups of the benchmark's scan workload.
+SCAN_SPECS = (
+    "sym:7",
+    "wr:(sym:3,sym:3)",
+    "wr:(sym:2,sym:4)",
+    "cent:(1 2)(3 4)(5 6)(7 8)@8",
+    "sym:6",
+)
 
 
 @functools.cache
@@ -130,9 +140,8 @@ class TestAnalyze:
             analyze(symmetric_group(4), cap=10)
         assert info.value.required == 24
 
-    def test_scan_skips_rows_settled_by_symmetry(self, monkeypatch):
-        # An ordered scan of sym:7's 877 partitions makes 384,126 calls of
-        # each; one row per orbit of the group needs far fewer.
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
         calls = {"join": 0, "meet": 0}
 
         def counted(name, op):
@@ -144,9 +153,26 @@ class TestAnalyze:
 
         monkeypatch.setattr(coherence, "join_codes", counted("join", coherence.join_codes))
         monkeypatch.setattr(coherence, "meet_codes", counted("meet", coherence.meet_codes))
+        return calls
+
+    def test_scan_skips_rows_settled_by_symmetry(self, monkeypatch):
+        # An ordered scan of sym:7's 877 partitions makes 384,126 calls of
+        # each, and one row per orbit of the group 10,752.  Skipping cleared
+        # columns and passing a row whose interval lies in pi(G) leaves 21
+        # joins and no meet: every partition of 7 points is in pi(sym:7).
+        calls = self.count_kernel_calls(monkeypatch)
         report = analyze(symmetric_group(7))
         assert report.join_coherent and report.meet_coherent
-        assert 0 < calls["join"] < 12_000 and 0 < calls["meet"] < 12_000
+        assert calls["join"] <= 21 and calls["meet"] == 0
+
+    def test_scan_calls_the_kernel_to_find_a_witness(self, monkeypatch):
+        # Only a kernel call finds a failing pair: alt:4 fails join, and
+        # wr:(sym:3,sym:3) fails meet.
+        calls = self.count_kernel_calls(monkeypatch)
+        assert not analyze(build_group("alt:4"), meet=False, chain=False).join_coherent
+        assert calls["join"] >= 1
+        report = analyze(build_group("wr:(sym:3,sym:3)"), join=False, chain=False)
+        assert not report.meet_coherent and calls["meet"] >= 1
 
 
 class TestClosureAgainstBruteForce:
@@ -409,6 +435,38 @@ class TestCensus:
             assert record["pi_size"] == len(codes)
             assert record["join_coherent"] == closed(codes, "join")
             assert record["meet_coherent"] == closed(codes, "meet")
+
+    @pytest.mark.slow
+    def test_witnesses_match_the_ordered_scan(self):
+        # The ordered scan that skips only cleared rows, comparing each row
+        # with every later code, finds the lex-least failing pair; the scan
+        # that also skips cleared columns and passes rows by their interval
+        # must report the same pair.
+        def ordered(group, op):
+            pi = pi_set(group)
+            codes = sorted(pi.codes)
+            cleared = {bytes(group.degree)}
+            for i, a in enumerate(codes):
+                if a in cleared:
+                    continue
+                for b in codes[i + 1 :]:
+                    if op(a, b) not in pi.codes:
+                        return SetPartition(a), SetPartition(b)
+                cleared.add(a)
+                _close_codes(cleared, [a], [g.images for g in group.generators])
+            return None
+
+        *records, _ = census_6()
+        groups = [sub for n in range(1, 6) for sub in subgroups(symmetric_group(n))]
+        for record in records:
+            gens = [Permutation.from_cycles(text, 6) for text in record["generators"]]
+            groups.append(PermGroup(gens, 6))
+        groups += [build_group(spec) for spec in ("alt:9", *SCAN_SPECS)]
+        groups.append(_packaged_group("m11.gens"))
+        for group in groups:
+            report = analyze(group, chain=False)
+            assert report.join_witness == ordered(group, join_codes)
+            assert report.meet_witness == ordered(group, meet_codes)
 
     def test_deterministic(self):
         assert list(census(3)) == list(census(3))

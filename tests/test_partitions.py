@@ -1,10 +1,19 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import PartitionFormatError
-from orbitlat.partitions import SetPartition, _check_rgs, all_partitions, is_chain
+from orbitlat.partitions import (
+    SetPartition,
+    _check_rgs,
+    _coarsenings,
+    _refinements,
+    all_partitions,
+    is_chain,
+    partition_codes,
+)
 from orbitlat.perms import Permutation
 
 
@@ -339,10 +348,57 @@ class TestCoarseningMaps:
         assert (p | b) & (q | b) == SetPartition(bytes(3))
 
 
+# Bell numbers B(0)..B(9): the partitions of 0..9 points.
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
+
+
 class TestEnumeration:
     def test_bell_counts(self):
-        # Bell numbers 1, 2, 5, 15, 52, 203
-        for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
+        # Bell(n) distinct codes in lex order, the codes of the
+        # restricted-growth enumeration they replaced, kept here as the
+        # reference: step the last position that can still grow.
+        def reference(degree):
+            rgs, mx = [0] * degree, [0] * degree
+            while True:
+                yield bytes(rgs)
+                i = degree - 1
+                while i > 0 and rgs[i] == mx[i - 1] + 1:
+                    i -= 1
+                if i == 0:
+                    return
+                rgs[i] += 1
+                mx[i] = max(mx[i - 1], rgs[i])
+                for j in range(i + 1, degree):
+                    rgs[j], mx[j] = 0, mx[i]
+
+        for n, bell in enumerate(BELL[1:], 1):
+            codes = list(partition_codes(n))
+            assert len(set(codes)) == len(codes) == bell
+            assert codes == sorted(codes) == list(reference(n))
+            assert [p.code() for p in all_partitions(n)] == codes
+
+    def test_degree_0_is_refused(self):
+        for listing in (all_partitions, partition_codes):
+            codes = listing(0)
+            with pytest.raises(ValueError, match="degree must be at least 1"):
+                next(codes)
+
+    def test_intervals_match_the_refinement_order(self):
+        # Above and below every code of degree <= 7, against `refines` over
+        # every pair, with no code listed twice.
+        for n in range(1, 8):
             parts = list(all_partitions(n))
-            assert len(parts) == bell
-            assert len(set(parts)) == bell
+            above = {p: set() for p in parts}
+            below = {p: set() for p in parts}
+            for p in parts:
+                for q in parts:
+                    if p.block_count >= q.block_count and p.refines(q):
+                        above[p].add(q.code())
+                        below[q].add(p.code())
+            for p in parts:
+                up = list(_coarsenings(p.code()))
+                down = list(_refinements(p.code()))
+                assert len(up) == BELL[p.block_count] and set(up) == above[p]
+                sizes = [len(block) for block in p.blocks()]
+                assert len(down) == math.prod(BELL[k] for k in sizes)
+                assert set(down) == below[p]
