@@ -22,7 +22,6 @@ from itertools import filterfalse, islice
 from math import gcd
 
 from .arith import factorize, is_prime_power
-from .errors import CapExceeded
 from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _close_codes, pi_set, subgroups
 from .partitions import (
     SetPartition,
@@ -215,18 +214,12 @@ def classify_chain(group: PermGroup) -> ChainClassification:
     return ChainClassification(chain, structural)
 
 
-def find_witness_element(
-    group: PermGroup, partition: SetPartition, cap: int = DEFAULT_PI_CAP
-) -> Permutation | None:
+def find_witness_element(group: PermGroup, partition: SetPartition) -> Permutation | None:
     """First element in stream order whose orbit partition equals P, if any.
     Such an element maps each point into its block of P, so the search
     skips every element that does not."""
     if partition.degree != group.degree:
         raise ValueError("degree mismatch")
-    if group.order > cap:
-        raise CapExceeded(
-            "group order %d exceeds cap %d" % (group.order, cap), required=group.order
-        )
     want = partition.code()
     blocks = [set(block) for block in partition.blocks()]
     allowed = [blocks[label] for label in partition.rgs]
@@ -305,9 +298,9 @@ def verify_normal_cyclic_classification(n: int) -> NormalCyclicReport:
 
     The multiplier groups H <= (Z/n)^x are the subgroups of the multiplier
     action x -> ux on Z_n, each read off the images of 1.  `subgroups` lists
-    them by order, then by sorted image tuples, and the image tuple of
-    x -> ux is ordered by its entry at 1, which is u; so the entries come
-    by size, then by sorted multiplier tuple.
+    them by order, then by sorted images, and the images of x -> ux are
+    ordered by their entry at 1, which is u; so the entries come by size,
+    then by sorted multiplier tuple.
     """
     if not 1 <= n <= 64:
         raise ValueError("n must be between 1 and 64")

@@ -103,10 +103,10 @@ def direct_sum_action(g: PermGroup, h: PermGroup) -> PermGroup:
     dg, dh = g.degree, h.degree
     if dg + dh > DEGREE_CAP:
         raise GroupSpecError("degree %d exceeds cap %d" % (dg + dh, DEGREE_CAP))
-    rest = tuple(range(dg, dg + dh))
+    rest = bytes(range(dg, dg + dh))
     gens = [Permutation(p.images + rest) for p in g.generators]
-    head = tuple(range(dg))
-    gens += [Permutation(head + tuple(x + dg for x in p.images)) for p in h.generators]
+    head = bytes(range(dg))
+    gens += [Permutation(head + bytes(x + dg for x in p.images)) for p in h.generators]
     group = PermGroup(gens, dg + dh)
     return _checked_order(group, g.order * h.order)
 
@@ -145,7 +145,7 @@ def wreath_imprimitive(g: PermGroup, h: PermGroup) -> PermGroup:
             images = list(range(degree))
             for x in range(dg):
                 images[y0 * dg + x] = y0 * dg + p.images[x]
-            gens.append(Permutation(tuple(images)))
+            gens.append(Permutation(images))
     for p in h.generators:
         gens.append(Permutation(tuple(p.images[y] * dg + x for y in range(dh) for x in range(dg))))
     group = PermGroup(gens, degree)
@@ -174,13 +174,13 @@ def centralizer_in_sym(g: Permutation) -> PermGroup:
             first = orbits[0]
             for e in range(k):
                 images[first[e]] = first[(e + 1) % k]
-            gens.append(Permutation(tuple(images)))
+            gens.append(Permutation(images))
         for a, b in zip(orbits, orbits[1:]):
             images = list(range(n))
             for e in range(k):
                 images[a[e]] = b[e]
                 images[b[e]] = a[e]
-            gens.append(Permutation(tuple(images)))
+            gens.append(Permutation(images))
     for p in gens:
         if p * g != g * p:
             raise PostconditionError("centralizer generator %s does not commute with %s" % (p, g))

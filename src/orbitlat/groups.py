@@ -6,13 +6,13 @@ breadth-first order, generator order) are deterministic, so group order,
 element streaming order, and every derived result are reproducible across
 runs and machines.
 
-Inside the chain a permutation is `bytes`, so a group's degree is below
-256, and composing two permutations is one `bytes.translate` call.  Each
-strong generator is kept with its inverse and each coset representative
-beside its inverse, so sifting and orbit extension invert nothing; the
-chain is the same by value as one built from forward image tuples.
-Elsewhere elements are raw image tuples, composed by `itemgetter`; the
-`Permutation` wrapper appears only at the public surface.
+A permutation is its images as `bytes`, so a group's degree is below 256,
+and p followed by q is one call, ``p.translate(_table(q))``.  The chain,
+the element stream and the searches over it all work on these raw images;
+the `Permutation` wrapper, which holds the same bytes, appears only at the
+public surface.  Each strong generator is kept with its inverse and each
+coset representative beside its inverse, so sifting and orbit extension
+invert nothing.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Iterable, Iterator
 
 from .arith import is_prime, is_prime_power
 from .errors import CapExceeded
-from .partitions import SetPartition, _relabel
-from .perms import Permutation, _compose_images, _image_order, _invert_images, _orbit_rgs
+from .partitions import _IDENTITY, SetPartition, _relabel, _table
+from .perms import Permutation, _image_order, _invert_images, _orbit_rgs
 
 DEFAULT_PI_CAP = 20_000_000
 DEFAULT_SUBGROUP_CAP = 10_000
@@ -36,14 +36,11 @@ DEFAULT_SUBGROUP_CAP = 10_000
 # in about a millisecond.
 _TAIL_MAX = 1024
 
-# The identity as a `bytes.translate` table.
-_IDENTITY_TABLE = bytes(range(256))
-
 
 def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
-    """Orbits of the image tuples `gens` on `points`, a union of orbits, by
-    breadth-first closure from each point not yet reached, in the given
-    order; each orbit sorted."""
+    """Orbits of the permutations `gens` (images) on `points`, a union of
+    orbits, by breadth-first closure from each point not yet reached, in
+    the given order; each orbit sorted."""
     seen = set()
     out = []
     for start in points:
@@ -62,14 +59,14 @@ def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
 
 def _close_codes(codes: set[bytes], frontier: list[bytes], gens) -> None:
     """Add to `codes` every image of the codes in `frontier` (all members of
-    `codes`) under the group generated by the image tuples `gens`, stopping
-    at codes already present."""
-    getters = [itemgetter(*g) for g in gens]
+    `codes`) under the group generated by the permutations `gens` (images),
+    stopping at codes already present."""
     table = bytearray(256)
     while frontier:
         code = frontier.pop()
-        for get in getters:
-            image = _relabel(bytes(get(code)), table)
+        code_table = _table(code)
+        for g in gens:
+            image = _relabel(g.translate(code_table), table)
             if image not in codes:
                 codes.add(image)
                 frontier.append(image)
@@ -101,9 +98,7 @@ class _Chain:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.identity = tuple(range(degree))
-        self.one = bytes(range(degree))
-        self.pad = _IDENTITY_TABLE[degree:]
+        self.one = _IDENTITY[:degree]
         self.base: list[int] = []
         # Per level: (table, inverse table) of each strong generator.
         self.gens: list[list[tuple[bytes, bytes]]] = []
@@ -112,13 +107,12 @@ class _Chain:
         # Per level: ids of the generators and the inverse transversal of
         # the last complete Schreier pass.
         self.proved: list[tuple[set[int], dict[int, bytes]]] = []
-        self._forward: list[dict[int, tuple[int, ...]]] | None = None
 
     def _new_level(self, pt: int):
         self.base.append(pt)
         self.gens.append([])
         self.reps.append({pt: self.one})
-        self.inverse.append({pt: _IDENTITY_TABLE})
+        self.inverse.append({pt: _IDENTITY})
         self.proved.append((set(), {}))
 
     def _level_gens(self, i: int) -> list[tuple[bytes, bytes]]:
@@ -142,21 +136,20 @@ class _Chain:
             g = g.translate(v)
         return g
 
-    def __contains__(self, images) -> bool:
-        return self.sift(bytes(images)) == self.one
+    def __contains__(self, images: bytes) -> bool:
+        return self.sift(images) == self.one
 
-    def add(self, images):
+    def add(self, images: bytes):
         """Insert an element, extending the chain if it is not yet a member."""
-        r = self.sift(bytes(images))
+        r = self.sift(images)
         if r == self.one:
             return
-        self._forward = None
         j = self._insert(r)
         for i in range(j, -1, -1):
             self._validate(i)
 
     def _insert(self, g: bytes) -> int:
-        gen = (g + self.pad, bytes(_invert_images(g)) + self.pad)
+        gen = (_table(g), _table(_invert_images(g)))
         for i, pt in enumerate(self.base):
             if g[pt] != pt:
                 self.gens[i].append(gen)
@@ -180,7 +173,7 @@ class _Chain:
         steps = self._level_gens(i)
         pt = self.base[i]
         reps = {pt: self.one}
-        inv = {pt: _IDENTITY_TABLE}
+        inv = {pt: _IDENTITY}
         frontier = [pt]
         while frontier:
             nxt = []
@@ -228,23 +221,15 @@ class _Chain:
             n *= len(inv)
         return n
 
-    def forward(self) -> list[dict[int, tuple[int, ...]]]:
-        """Per level, the coset representatives {point: u} with base[i]^u ==
-        point as image tuples, in sorted point order.  They are converted
-        from the chain's bytes once and kept until the next `add`."""
-        if self._forward is None:
-            self._forward = [{pt: tuple(reps[pt]) for pt in sorted(reps)} for reps in self.reps]
-        return self._forward
-
-    def element_images(self, points: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+    def element_images(self, points: Iterable[int] | None = None) -> Iterator[bytes]:
         """Stream every element exactly once as a product over the transversals.
 
         The order is deterministic: lexicographic in the sorted transversal
         points of levels 0, 1, ..., deepest level innermost.  The deepest
         levels whose product has at most _TAIL_MAX elements (never level 0)
         form a tail that is multiplied out once per call; every product of
-        the remaining head levels is then composed with each tail element by
-        one `itemgetter` call.
+        the remaining head levels is then applied to each tail element by
+        one `bytes.translate` call.
 
         Given `points` from the orbit of base[0], only the level-0 cosets
         {g : base[0]^g = b} for b in points are produced, in the same order,
@@ -253,31 +238,31 @@ class _Chain:
         trivial and its one element is produced whatever `points` holds.
         """
         if not self.base:
-            yield self.identity
+            yield self.one
             return
 
-        forward = self.forward()
-        levels = [list(reps.values()) for reps in forward]
+        keys = [sorted(reps) for reps in self.reps]
         if points is not None:
-            levels[0] = [forward[0][pt] for pt in sorted(points)]
+            keys[0] = sorted(points)
+        # Every representative as a table, padded once per call.
+        levels = [[_table(reps[pt]) for pt in pts] for reps, pts in zip(self.reps, keys)]
         split = len(levels)
         size = 1
         while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:
             split -= 1
             size *= len(levels[split])
-        # element[i] = u_0[u_1[...u_last[i]]]; with head p and tail t this is p[t[i]].
-        tail = [self.identity]
+        # An element is u_last followed by ... by u_1 by u_0; with head p and
+        # tail t it is t followed by p.
+        tail = [self.one]
         for reps in reversed(levels[split:]):
-            getters = [itemgetter(*t) for t in tail]
-            tail = [get(u) for u in reps for get in getters]
-        getters = [itemgetter(*t) for t in tail]
+            tail = [t.translate(u) for u in reps for t in tail]
 
         for head in product(*levels[:split]):
-            p = head[0]
-            for u in head[1:]:
-                p = itemgetter(*u)(p)
-            for get in getters:
-                yield get(p)
+            p = head[-1]
+            for u in head[-2::-1]:
+                p = p.translate(u)
+            for t in tail:
+                yield t.translate(p)
 
 
 class PermGroup:
@@ -314,11 +299,11 @@ class PermGroup:
             return False
         return p.images in self._chain
 
-    def element_images(self) -> Iterator[tuple[int, ...]]:
+    def element_images(self) -> Iterator[bytes]:
         return self._chain.element_images()
 
     def first_element(self, test, allowed=None) -> Permutation | None:
-        """The first element in stream order whose image tuple passes `test`.
+        """The first element in stream order whose images (bytes) pass `test`.
 
         The chain is searched depth first over its levels in stream order.
         `allowed`, if given, holds for each point the images that an element
@@ -329,20 +314,23 @@ class PermGroup:
         representative for pt maps base[i] to p[pt], and deeper levels fix
         base[i].  The element found is the same.
         """
-        base, levels = self._chain.base, self._chain.forward()
+        chain = self._chain
+        base = chain.base
+        levels = [[(pt, reps[pt]) for pt in sorted(reps)] for reps in chain.reps]
 
         def search(i, p):
             if i == len(base):
                 return p if test(p) else None
             images = None if allowed is None else allowed[base[i]]
-            for pt, u in levels[i].items():
+            table = _table(p)
+            for pt, u in levels[i]:
                 if images is None or p[pt] in images:
-                    found = search(i + 1, itemgetter(*u)(p))
+                    found = search(i + 1, u.translate(table))
                     if found is not None:
                         return found
             return None
 
-        found = search(0, self._chain.identity)
+        found = search(0, chain.one)
         return None if found is None else Permutation(found)
 
     def orbits(self) -> list[list[int]]:
@@ -419,7 +407,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
         )
     chain = group._chain
     if not chain.base:
-        return PiSet(group.degree, {_orbit_rgs(chain.identity)}, order)
+        return PiSet(group.degree, {_orbit_rgs(chain.one)}, order)
     beta = chain.base[0]
     degree = group.degree
     # The strong generators of G_β as (table, inverse table), inverted by the chain.
@@ -432,7 +420,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
         if r in reached:
             continue
         # Breadth-first transversal of G_β on O_r, kept as inv[b] = t_b^-1.
-        inv = {r: _IDENTITY_TABLE}
+        inv = {r: _IDENTITY}
         orbit = [r]
         for x in orbit:
             for s, s_inv in steps:
@@ -454,7 +442,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
             for x in inv[b][b + 1 : degree]:
                 mask[x] |= bit
         mask[r] = mask[beta] = full
-        relabels = [itemgetter(*inv[b][:degree]) for b in targets]
+        relabels = [inv[b][:degree] for b in targets]
 
         allowed: dict[bytes, int] = {}
         get = allowed.get
@@ -470,9 +458,10 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
                 for _ in range(size):
                     x = code.index(label, x + 1)
                     bits &= mask[x]
+            code_table = _table(code)
             while bits:
                 low = bits & -bits
-                codes.add(_relabel(bytes(relabels[low.bit_length() - 1](code)), table))
+                codes.add(_relabel(relabels[low.bit_length() - 1].translate(code_table), table))
                 bits ^= low
     return PiSet(degree, codes, order)
 
@@ -497,14 +486,14 @@ class _Columns(dict):
     """Right-multiplication columns of a group, built on first use: entry h
     of column x is the index of h·x, elements numbered in `elems` order."""
 
-    def __init__(self, elems: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+    def __init__(self, elems: list[bytes], index: dict[bytes, int]):
         super().__init__()
         self.elems = elems
         self.index = index
 
     def __missing__(self, x: int) -> list[int]:
-        xi = self.elems[x]
-        col = [self.index[_compose_images(h, xi)] for h in self.elems]
+        x_table = _table(self.elems[x])
+        col = [self.index[h.translate(x_table)] for h in self.elems]
         self[x] = col
         return col
 
@@ -552,8 +541,9 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     for i, im in enumerate(elems[1:], 1):
         if is_prime_power(_image_order(im)):
             powers = [im]
+            step = _table(im)
             while powers[-1] != identity:
-                powers.append(_compose_images(powers[-1], im))
+                powers.append(powers[-1].translate(step))
             c_set = generates[i] = frozenset(map(index.__getitem__, powers))
             cyclics.setdefault(c_set, i)
     cyclic_gens = sorted(cyclics.values())

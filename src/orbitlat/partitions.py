@@ -33,6 +33,12 @@ def _relabel(code: bytes, table: bytearray) -> bytes:
     return code.translate(table)
 
 
+def _table(p: bytes) -> bytes:
+    """The permutation images `p` padded with the identity to a 256-byte
+    table, so that ``q.translate(_table(p))`` is q followed by p."""
+    return p + _IDENTITY[len(p) :]
+
+
 def _check_degree(degree: int) -> None:
     if degree > 255:
         raise ValueError("codes need degree below 256, got %d" % degree)
@@ -264,10 +270,8 @@ def _coarsenings(code: bytes) -> Iterator[bytes]:
     """Every partition that the canonical `code` refines, as codes.  Each
     merges the k labels of `code` by an RGS on them; as `code` uses its
     labels in first-use order, the translated code is canonical as it is."""
-    k = max(code) + 1
-    pad = _IDENTITY[k:]
-    for merge in partition_codes(k):
-        yield code.translate(merge + pad)
+    for merge in partition_codes(max(code) + 1):
+        yield code.translate(_table(merge))
 
 
 def _refinements(code: bytes) -> Iterator[bytes]:

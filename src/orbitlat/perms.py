@@ -10,31 +10,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
 
 from .errors import CycleNotationError
-from .partitions import SetPartition, _check_degree
+from .partitions import _IDENTITY, SetPartition, _table
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # right action: i -> q[p[i]]; itemgetter of fewer than two indices
-    # returns a bare item (or cannot be built), not a tuple.
-    if len(p) > 1:
-        return itemgetter(*p)(q)
-    return tuple(q[i] for i in p)
-
-
-def _invert_images(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+def _invert_images(p: bytes) -> bytes:
+    # maketrans maps each p[i] to i and every other byte to itself.
+    return bytes.maketrans(p, _IDENTITY[: len(p)])[: len(p)]
 
 
 def _orbit_rgs(images) -> bytes:
-    """Restricted-growth string of the cycle partition of an image tuple.
+    """Restricted-growth string of the cycle partition of a permutation's images.
 
     Labels are assigned in order of each cycle's minimum point, so the result
     is the canonical code of the orbit partition.
@@ -53,7 +42,7 @@ def _orbit_rgs(images) -> bytes:
 
 
 def _image_order(images) -> int:
-    """Order of the permutation with this image tuple: lcm of its cycle lengths."""
+    """Order of the permutation with these images: lcm of its cycle lengths."""
     seen = [False] * len(images)
     lengths = [1]
     for i in range(len(images)):
@@ -70,17 +59,30 @@ def _image_order(images) -> int:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {0..n-1} stored as its tuple of images.
+    """A bijection of {0..n-1} stored as its images, one byte per point, so
+    the degree is below 256.  It can be built from any sequence of ints.
 
     Composition acts on the right: ``(p * q)(i) == q(p(i))``, i.e. ``p * q``
-    means "apply p, then q".
+    means "apply p, then q", and is ``p.images.translate(_table(q.images))``.
     """
 
-    images: tuple[int, ...]
+    images: bytes
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("images are not a bijection of 0..%d" % (len(self.images) - 1))
+        images = self.images
+        n = len(images)
+        if n > 255:
+            raise ValueError("permutations need degree below 256, got %d" % n)
+        try:
+            code = bytes(images)
+        except TypeError:
+            raise ValueError("images must be ints") from None
+        except ValueError:
+            code = None
+        # n images cover 0..n-1 exactly when none of those points is missing.
+        if code is None or _IDENTITY[:n].translate(None, code):
+            raise ValueError("images are not a bijection of 0..%d" % (n - 1))
+        object.__setattr__(self, "images", code)
 
     @property
     def degree(self) -> int:
@@ -90,7 +92,7 @@ class Permutation:
     def identity(cls, degree: int) -> Permutation:
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        return cls(tuple(range(degree)))
+        return cls(range(degree))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> Permutation:
@@ -123,12 +125,12 @@ class Permutation:
                 images[a - 1] = b - 1
             if points:
                 images[points[-1] - 1] = points[0] - 1
-        return cls(tuple(images))
+        return cls(images)
 
     def __mul__(self, other: Permutation) -> Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-        return Permutation(_compose_images(self.images, other.images))
+        return Permutation(self.images.translate(_table(other.images)))
 
     def inverse(self) -> Permutation:
         return Permutation(_invert_images(self.images))
@@ -137,7 +139,7 @@ class Permutation:
         return self.images[point]
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return _IDENTITY.startswith(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), min point first, sorted by min."""
@@ -160,7 +162,6 @@ class Permutation:
 
     def orbit_partition(self) -> SetPartition:
         """The partition of {0..n-1} into this permutation's cycles."""
-        _check_degree(self.degree)
         return SetPartition._trusted(_orbit_rgs(self.images))
 
     def cycle_string(self) -> str:

@@ -297,7 +297,7 @@ def _centralizer_cases(rng: random.Random, n: int, count: int):
     for _ in range(count):
         images = list(range(n))
         rng.shuffle(images)
-        g = Permutation(tuple(images))
+        g = Permutation(images)
         cent_codes = pi_set(centralizer_in_sym(g)).codes
         if rng.random() < 0.5:
             code = rng.choice(sorted(cent_codes))

@@ -17,8 +17,8 @@ from functools import lru_cache
 from .coherence import find_witness_element
 from .errors import PostconditionError
 from .groups import PermGroup, pi_set
-from .partitions import SetPartition, _relabel, join_codes
-from .perms import Permutation, _compose_images
+from .partitions import SetPartition, _relabel, _table, join_codes
+from .perms import Permutation
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _realizing(group: PermGroup, code: bytes) -> Permutation:
     found = memo.get(code)
     if found is None:
         partition = SetPartition._trusted(code)
-        found = find_witness_element(group, partition, cap=group.order)
+        found = find_witness_element(group, partition)
         if found is None:
             raise PostconditionError("no element of the factor realizes %s" % partition)
         memo[code] = found
@@ -126,8 +126,8 @@ def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Pe
     for p, label in enumerate(at_z):
         points.setdefault(label, set()).add(p)
     allowed = [points[label] for label in at_y]
-    want = tuple(at_y)
-    found = g_group.first_element(lambda im: _compose_images(im, at_z) == want, allowed)
+    at_z_table = _table(at_z)
+    found = g_group.first_element(lambda im: im.translate(at_z_table) == at_y, allowed)
     memo[key] = found
     return found
 
@@ -223,7 +223,7 @@ def build_wreath_element(
         target = h(y) * dx
         for x in range(dx):
             images[y * dx + x] = target + fy(x)
-    k = Permutation(tuple(images))
+    k = Permutation(images)
 
     for y in range(dy):
         if len({k(y * dx + x) // dx for x in range(dx)}) != 1:
@@ -248,7 +248,7 @@ def _centralizer_conditions(
         for pt in cycle:
             length_of[pt] = len(cycle)
     feasible = len(set(zip(code, length_of))) == max(code) + 1 and (
-        _relabel(bytes(_compose_images(g.images, code)), bytearray(256)) == code
+        _relabel(g.images.translate(_table(code)), bytearray(256)) == code
     )
     return code, cycles, feasible
 
@@ -321,7 +321,7 @@ def build_centralizer_element(partition: SetPartition, g: Permutation) -> Permut
                 src = cycle[(base + e) % m]
                 images[src] = nxt_cycle[(nxt_base + e + shift) % m]
 
-    h = Permutation(tuple(images))
+    h = Permutation(images)
     if h * g != g * h:
         raise PostconditionError("constructed element does not commute with %s" % g)
     if h.orbit_partition() != partition:

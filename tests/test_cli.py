@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -232,6 +233,41 @@ class TestConstruct:
         code, out, _ = run(capsys, "check", "file:%s" % path)
         assert code == 0
         assert json.loads(out)["order"] == 72
+
+
+class TestOutputPins:
+    # One spec of every family; `file` reads a generator file from the
+    # working directory so that the comment `construct` echoes is stable.
+    SPECS = [
+        "sym:5",
+        "alt:6",
+        "cyclic:6",
+        "dihedral:5",
+        "dsum:(sym:3,cyclic:4)",
+        "dprod:(sym:3,cyclic:3)",
+        "wr:(sym:3,cyclic:2)",
+        "cent:(1 2 3)(4 5 6)(7 8)@9",
+        "frob:7,3",
+        "gamma:2,3",
+        "lin:3,2,GL,points",
+        "lin:2,4,SL·Frob,lines",
+        "lin:3,3,SL,hyperplanes",
+        "file:x.gens",
+    ]
+
+    def test_construct_and_orbits_are_pinned(self, capsys, tmp_path, monkeypatch):
+        # sha256 over the stdout of `construct` then `orbits` for each spec
+        # in order, recorded from the tree whose permutations were image
+        # tuples composed by itemgetter.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.gens").write_text("degree 7\n(1 2 3)\n(4 5)(6, 7)\n(2 3)\n")
+        h = hashlib.sha256()
+        for spec in self.SPECS:
+            for command in ("construct", "orbits"):
+                code, out, err = run(capsys, command, spec)
+                assert code == 0 and err == ""
+                h.update(out.encode())
+        assert h.hexdigest() == "5f8f05c3712fec093ec9d72616fe06813554a512e2e5adc6b67c53c42ca626bf"
 
 
 class TestVerifyPaper:

@@ -134,7 +134,7 @@ class TestCentralizer:
     def brute(self, g):
         n = g.degree
         return {
-            p
+            bytes(p)
             for p in itertools.permutations(range(n))
             if all(p[g(x)] == g(p[x]) for x in range(n))
         }

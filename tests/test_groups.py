@@ -18,17 +18,17 @@ from orbitlat.verification import _packaged_group
 
 # --- brute-force oracle --------------------------------------------------
 #
-# Multiplicative closure by breadth-first search over image tuples; no
-# stabilizer chain involved.
+# Multiplicative closure by breadth-first search over image bytes, composed
+# point by point; no stabilizer chain involved.
 
 def brute_closure(gens, degree):
-    els = {tuple(range(degree))}
+    els = {bytes(range(degree))}
     frontier = list(els)
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                b = tuple(g.images[x] for x in a)
+                b = bytes(g.images[x] for x in a)
                 if b not in els:
                     els.add(b)
                     nxt.append(b)
@@ -62,13 +62,14 @@ class TestChain:
         streamed = list(group.element_images())
         assert len(streamed) == len(closure)
         assert set(streamed) == closure
+        assert {type(images) for images in streamed} == {bytes}
 
     @given(small_groups_st())
     @settings(max_examples=100, deadline=None)
     def test_membership(self, group):
         closure = brute_closure(group.generators, group.degree)
         for images in itertools.permutations(range(group.degree)):
-            assert (Permutation(images) in group) == (images in closure)
+            assert (Permutation(images) in group) == (bytes(images) in closure)
 
     # sha256 over the concatenated image bytes of the stream (first `limit`
     # elements) of a packaged generator file or a spec, recorded from the
@@ -260,10 +261,10 @@ class TestChain:
             pytest.fail("a stabilizer chain was started")
 
         monkeypatch.setattr(groups, "_Chain", chain)
-        message = "permutation groups need degree below 256, got 256"
-        with pytest.raises(ValueError, match=message):
+        # A generator of degree 256 is refused when it is built.
+        with pytest.raises(ValueError, match="permutations need degree below 256, got 256"):
             PermGroup([Permutation(tuple(range(1, 256)) + (0,))])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="permutation groups need degree below 256, got 256"):
             PermGroup([], 256)
 
 

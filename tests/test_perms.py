@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitlat.errors import CycleNotationError
 from orbitlat.partitions import SetPartition
-from orbitlat.perms import Permutation, _compose_images
+from orbitlat.perms import Permutation
 
 
 def perm(text, n):
@@ -33,7 +33,7 @@ def permutations(draw, max_degree=10):
 class TestParsing:
     def test_basic(self):
         p = perm("(1 2 3)", 3)
-        assert p.images == (1, 2, 0)
+        assert p.images == bytes((1, 2, 0))
 
     def test_two_cycles(self):
         p = perm("(1 7)(4 10)", 12)
@@ -89,19 +89,43 @@ class TestCompose:
         with pytest.raises(ValueError):
             perm("(1 2)", 3) * perm("(1 2)", 4)
 
-    @pytest.mark.parametrize("degree", range(5))
-    def test_compose_images_exhaustive(self, degree):
-        # degree 1 is where a bare itemgetter would return an int
+    @pytest.mark.parametrize("degree", range(6))
+    def test_product_and_inverse_exhaustive(self, degree):
+        # Against the pointwise definitions, degrees 0 and 1 included.
         perms = list(itertools.permutations(range(degree)))
         for p in perms:
+            inverse = [0] * degree
+            for i, j in enumerate(p):
+                inverse[j] = i
+            assert list(Permutation(p).inverse().images) == inverse
             for q in perms:
-                assert _compose_images(p, q) == tuple(q[i] for i in p)
+                assert list((Permutation(p) * Permutation(q)).images) == [q[i] for i in p]
 
     @given(permutations(), permutations())
     def test_associative_when_same_degree(self, p, q):
         if p.degree == q.degree:
             r = perm("(1 2)", p.degree) if p.degree >= 2 else Permutation.identity(1)
             assert (p * q) * r == p * (q * r)
+
+
+class TestConstruction:
+    def test_any_int_sequence_gives_bytes_images(self):
+        forms = [(2, 0, 1), [2, 0, 1], bytes((2, 0, 1)), bytearray((2, 0, 1))]
+        built = [Permutation(images) for images in forms]
+        for p in built:
+            assert type(p.images) is bytes and p.images == bytes((2, 0, 1))
+            assert p == built[0] and hash(p) == hash(built[0])
+
+    def test_non_int_images_are_refused(self):
+        # Refused when built, so str() and PermGroup never meet them.
+        for images in [(1.0, 0.0), (1, 0.0), ("b", "a"), "ba", (1, None)]:
+            with pytest.raises(ValueError, match="images must be ints"):
+                Permutation(images)
+
+    def test_non_bijections_are_refused(self):
+        for images in [(0, 0), (1, 2), (-1, 0), (0, 256), (0, 1, 1)]:
+            with pytest.raises(ValueError, match="not a bijection"):
+                Permutation(images)
 
 
 class TestCycles:
@@ -143,16 +167,18 @@ class TestOrbitPartition:
         assert Permutation.identity(4).orbit_partition().block_count == 4
 
     def test_degree_below_256(self):
-        # The identity and a full cycle are refused alike from degree 256,
-        # before any coding, with the partition constructor's message.
+        # The identity and a full cycle are coded alike at degree 255.  From
+        # degree 256 neither is built, so no permutation is too large to code.
         for n in (255, 256, 300):
-            cycle = Permutation(tuple(range(1, n)) + (0,))
-            for p in (Permutation.identity(n), cycle):
-                if n == 255:
+            cycle = tuple(range(1, n)) + (0,)
+            if n == 255:
+                for p in (Permutation.identity(n), Permutation(cycle)):
                     assert p.orbit_partition().degree == 255
-                else:
-                    with pytest.raises(ValueError, match="below 256, got %d" % n):
-                        p.orbit_partition()
+            else:
+                message = "permutations need degree below 256, got %d" % n
+                for build in (Permutation.identity, lambda n: Permutation(cycle)):
+                    with pytest.raises(ValueError, match=message):
+                        build(n)
 
     @given(permutations())
     def test_inverse_same_partition(self, p):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 import orbitlat.cli as cli
-import orbitlat.coherence as coherence
 import orbitlat.groups as groups
 import orbitlat.witnesses as witnesses
 from orbitlat.constructions import (
@@ -252,7 +251,6 @@ class TestFactorCodes:
         # The witness paths stream a factor whatever its order: witness-wreath
         # has no --cap, so a factor above the default cap is still decided.
         monkeypatch.setattr(groups.pi_set, "__defaults__", (10, 1))
-        monkeypatch.setattr(coherence.find_witness_element, "__defaults__", (10,))
         witnesses._factor.cache_clear()
         g, h = symmetric_group(4), cyclic_group(2)
         part = SetPartition.from_blocks([[0, 1, 2, 3], [4, 5], [6], [7]], 8)
@@ -271,7 +269,7 @@ class TestPostconditions:
             "from orbitlat.partitions import SetPartition\n"
             "from orbitlat.perms import Permutation\n"
             "witnesses.find_witness_element = (\n"
-            "    lambda group, partition, cap: Permutation.identity(group.degree)\n"
+            "    lambda group, partition: Permutation.identity(group.degree)\n"
             ")\n"
             "c2 = cyclic_group(2)\n"
             "try:\n"
