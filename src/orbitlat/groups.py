@@ -87,13 +87,25 @@ class _Chain:
     its inverse from the generator tables, so nothing else is inverted.
     New base points are the smallest point moved by the offending element.
 
-    A Schreier pass skips a pair (x, s) that the last complete pass of its
-    level already proved: same generator s (by id; generators are never
-    removed) and the same representatives at x and s[x].  That Schreier
-    generator is then the same element, a member of the next level then
-    and still, because deeper levels only grow.  Every pair that can fail
-    is still sifted in the same order, so the chain is the same by value
-    as one whose passes sift every pair.
+    A Schreier pass at level i sifts h = u_x s u_{s[x]}^-1 for each point x
+    of the orbit (sorted) and each strong generator s of levels i and
+    deeper (in `_level_gens` order), except where h is known to be a member
+    of the next level, under two rules:
+
+    1. An h that is the identity, or a strong generator or its inverse, is
+       not sifted.  h fixes base[:i+1], and a strong generator of level j
+       moves base[j], so that generator lies at a level j > i, and h is a
+       member of level i+1 by construction.  `strong` holds their images.
+    2. A pair (x, s) that the last complete pass of the level proved is
+       not visited: same generator s (by id; generators are never removed)
+       and the same inverse representatives at x and s[x].  Its h is then
+       the same element, a member of the next level then and still,
+       because deeper levels only grow.  `_unproved` lists the others
+       from the points whose representative changed.
+
+    Every pair that can fail is still sifted in the same order, so the
+    chain is the same by value as one whose passes sift every Schreier
+    generator.
     """
 
     def __init__(self, degree: int):
@@ -107,6 +119,9 @@ class _Chain:
         # Per level: ids of the generators and the inverse transversal of
         # the last complete Schreier pass.
         self.proved: list[tuple[set[int], dict[int, bytes]]] = []
+        # The images of the identity and of every strong generator and its
+        # inverse (rule 1 above).
+        self.strong = {self.one}
 
     def _new_level(self, pt: int):
         self.base.append(pt)
@@ -149,7 +164,9 @@ class _Chain:
             self._validate(i)
 
     def _insert(self, g: bytes) -> int:
-        gen = (_table(g), _table(_invert_images(g)))
+        g_inv = _invert_images(g)
+        self.strong.update((g, g_inv))
+        gen = (_table(g), _table(g_inv))
         for i, pt in enumerate(self.base):
             if g[pt] != pt:
                 self.gens[i].append(gen)
@@ -163,8 +180,8 @@ class _Chain:
         """Restore the chain condition at level i, assuming deeper levels hold:
         the orbit of base[i] is closed and every Schreier generator sifts to
         the identity through the rest of the chain.  Passes are repeated
-        until one completes; each sifts only the Schreier generators that the
-        last complete pass of this level did not prove."""
+        until one completes; each sifts only the Schreier generators that
+        neither rule of the class docstring skips."""
         while not self._schreier_pass(i):
             pass
 
@@ -192,18 +209,14 @@ class _Chain:
     def _schreier_pass(self, i: int) -> bool:
         self._rebuild_orbit(i)
         reps, inv = self.reps[i], self.inverse[i]
-        proved, old = self.proved[i]
-        gens_i = [(s, id(s) in proved) for s, _ in self._level_gens(i)]
-        one = self.one
+        gens_i = self._level_gens(i)
+        default, special = self._unproved(i, gens_i)
+        strong, one = self.strong, self.one
         for x in sorted(inv):
             u = reps[x]
-            kept = old.get(x) == inv[x]
-            for s, was_proved in gens_i:
-                y = s[x]
-                if kept and was_proved and old.get(y) == inv[y]:
-                    continue
-                h = u.translate(s).translate(inv[y])
-                if h == one:
+            for s, _ in special.get(x, default):
+                h = u.translate(s).translate(inv[s[x]])
+                if h in strong:
                     continue
                 r = self.sift(h, start=i + 1)
                 if r != one:
@@ -213,6 +226,35 @@ class _Chain:
                     return False
         self.proved[i] = ({id(s) for s, _ in gens_i}, inv)
         return True
+
+    def _unproved(self, i: int, gens_i: list[tuple[bytes, bytes]]):
+        """The generators s of `gens_i` (in their order) whose Schreier
+        generator at a point x of the level-i orbit the last complete pass
+        did not prove: `special[x]` if x is a key, else `default`.
+
+        s is proved at x when the last complete pass had s and the same
+        inverse representatives at x and s[x].  So s is listed at x when it
+        is new, when x is `changed` (its representative changed, or it is
+        new to the orbit), or when s[x] is, that is x = s^-1[y] for a
+        changed y.  Before the first complete pass every s is listed."""
+        proved, old = self.proved[i]
+        if not proved:
+            return gens_i, {}
+        changed = [x for x, v in self.inverse[i].items() if old.get(x) != v]
+        special = dict.fromkeys(changed, gens_i)
+        fresh = []
+        image_changed: dict[int, list[int]] = {}
+        for k, (s, s_inv) in enumerate(gens_i):
+            if id(s) not in proved:
+                fresh.append(k)
+                continue
+            for y in changed:
+                x = s_inv[y]
+                if x not in special:
+                    image_changed.setdefault(x, []).append(k)
+        for x, ks in image_changed.items():
+            special[x] = [gens_i[k] for k in sorted(fresh + ks)]
+        return [gens_i[k] for k in fresh], special
 
     @property
     def order(self) -> int:

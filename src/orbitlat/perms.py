@@ -15,6 +15,7 @@ from .errors import CycleNotationError
 from .partitions import _IDENTITY, SetPartition, _table
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_DEGREE_LIMIT = "permutations need degree below 256, got %d"
 
 
 def _invert_images(p: bytes) -> bytes:
@@ -72,7 +73,7 @@ class Permutation:
         images = self.images
         n = len(images)
         if n > 255:
-            raise ValueError("permutations need degree below 256, got %d" % n)
+            raise ValueError(_DEGREE_LIMIT % n)
         try:
             code = bytes(images)
         except TypeError:
@@ -100,10 +101,14 @@ class Permutation:
 
         Points may be separated by spaces or commas.  Raises
         CycleNotationError for unbalanced parentheses, stray text, points
-        outside 1..degree, or a point appearing twice.
+        outside 1..degree, or a point appearing twice, and ValueError for a
+        degree of 256 or more.
         """
         if degree < 1:
             raise CycleNotationError("degree must be at least 1")
+        # Refused before the text is parsed or the images allocated.
+        if degree > 255:
+            raise ValueError(_DEGREE_LIMIT % degree)
         outside = _CYCLE_RE.sub("", text)
         if outside.strip(" ,\t\n"):
             raise CycleNotationError("unexpected text outside cycles: %r" % text)

@@ -149,13 +149,11 @@ class TestChain:
         self.hash_chain(h, group._chain)
         assert h.hexdigest() == digest
 
-    def test_random_chains_are_pinned(self):
+    @staticmethod
+    def random_groups():
         # 300 seeded groups of degree 1-14, each generator shuffling a random
-        # subset of the points; one digest over all chains, same recipe and
-        # same source as CHAIN_DIGESTS.  Generic inputs reach Schreier pass
-        # orders that the named groups above do not.
+        # subset of the points.
         rng = random.Random(5)
-        h = hashlib.sha256()
         for _ in range(300):
             n = rng.randint(1, 14)
             gens = []
@@ -165,13 +163,70 @@ class TestChain:
                 for a, b in zip(pts, rng.sample(pts, len(pts))):
                     images[a] = b
                 gens.append(Permutation(tuple(images)))
-            self.hash_chain(h, PermGroup(gens, n)._chain)
+            yield PermGroup(gens, n)
+
+    def test_random_chains_are_pinned(self):
+        # One digest over the chains of random_groups(), same recipe and
+        # same source as CHAIN_DIGESTS.  Generic inputs reach Schreier pass
+        # orders that the named groups above do not.
+        h = hashlib.sha256()
+        for group in self.random_groups():
+            self.hash_chain(h, group._chain)
         assert h.hexdigest() == "566e029c922c114878d717ee7f4895bdb2716fde408877a8cd776c1507100b5d"
+
+    def test_schreier_generators_found_strong_are_members(self, monkeypatch):
+        # A pass at level i does not sift a Schreier generator h found in the
+        # chain's set of strong generators, their inverses and the identity.
+        # Each such h must fix base[:i+1] and sift to the identity from level
+        # i+1, both when it is skipped (deeper levels then hold, so a sift
+        # would have returned the identity) and through the finished chain.
+        passes, skipped = [], []
+
+        class Recording(set):
+            def __contains__(self, h):
+                found = set.__contains__(self, h)
+                if found:
+                    chain, i = passes[-1]
+                    assert chain.sift(h, i + 1) == chain.one
+                    skipped.append((chain, i, h))
+                return found
+
+        init, schreier_pass = groups._Chain.__init__, groups._Chain._schreier_pass
+
+        def recording_init(chain, degree):
+            init(chain, degree)
+            chain.strong = Recording(chain.strong)
+
+        def recording_pass(chain, i):
+            passes.append((chain, i))
+            try:
+                return schreier_pass(chain, i)
+            finally:
+                passes.pop()
+
+        monkeypatch.setattr(groups._Chain, "__init__", recording_init)
+        monkeypatch.setattr(groups._Chain, "_schreier_pass", recording_pass)
+        # The wreath product's construction builds other chains too; each
+        # skip is checked against the chain it was made in, once built.
+        counts = []
+        named = (build_group(spec) for spec in ("sym:40", "wr:(sym:8,sym:8)"))
+        for group in itertools.chain(named, self.random_groups()):
+            for chain, i, h in skipped:
+                assert all(h[b] == b for b in chain.base[: i + 1])
+                assert chain.sift(h, i + 1) == chain.one
+            counts.append(sum(c is group._chain and h != c.one for c, _, h in skipped))
+            skipped.clear()
+        # Skips of a Schreier generator other than the identity, in the
+        # chain of each group: sym:40 sifted 42,491 before this rule.
+        assert counts[:2] == [25_673, 27_867]
+        assert sum(counts[2:]) > 0
 
     def test_schreier_pass_skips_proved_generators(self, monkeypatch):
         # Every sift with start > 0 comes from a Schreier generator.  A pass
         # that re-sifted every pair after each new strong generator made
-        # 90,536 of them for sym:30.
+        # 90,536 of them for sym:30; sifting every Schreier generator that
+        # is not the identity made 17,736 for sym:30 and 30,692 for
+        # wr:(sym:8,sym:8).
         sift = groups._Chain.sift
         calls = Counter()
 
@@ -181,14 +236,19 @@ class TestChain:
 
         monkeypatch.setattr(groups._Chain, "sift", counting_sift)
         assert symmetric_group(30).order == 265252859812191058636308480000000
-        assert calls[True] <= 30_000
+        assert calls[True] == 6_643
+        calls.clear()
+        assert build_group("wr:(sym:8,sym:8)").order == 40320**9
+        assert calls[True] == 2_551
 
     def test_chain_inverts_each_strong_generator_once(self, monkeypatch):
         # Sift steps, Schreier generators and representatives compose stored
         # tables; only a new strong generator is inverted.  Inverting every
         # generator and representative again at each pass took 27,170
-        # inversions for sym:40.  The kernel does not change which elements
-        # are sifted.
+        # inversions for sym:40.  The sifts are counted exactly, so a change
+        # to which Schreier generators are sifted shows here: every one that
+        # is not the identity made 42,493 sifts, skipping the strong
+        # generators and their inverses makes 16,820.
         invert, sift = groups._invert_images, groups._Chain.sift
         calls = Counter()
 
@@ -206,7 +266,7 @@ class TestChain:
         strong = sum(map(len, chain.gens))
         assert strong == 74
         assert calls["invert"] <= strong
-        assert calls["sift"] == 42_493
+        assert calls["sift"] == 16_820
 
     def test_coset_prefix_and_rest_make_the_stream(self):
         # sym:5 has only level 0 ahead of the precomputed tail; the linear

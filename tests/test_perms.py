@@ -71,6 +71,17 @@ class TestParsing:
         with pytest.raises(CycleNotationError):
             perm("(1 x)", 4)
 
+    def test_degree_is_checked_before_parsing(self):
+        # A degree of 256 or more is refused before the text is read or the
+        # images allocated, so malformed text gets the degree message too.
+        message = "permutations need degree below 256, got %d"
+        for n in (256, 3_000_000):
+            for text in ("(1 2)", "(1 2", "(1 x)", "(1 %d)" % (n + 1), "(1 2)(2 3)"):
+                with pytest.raises(ValueError, match=message % n) as caught:
+                    perm(text, n)
+                assert type(caught.value) is ValueError
+        assert perm("(1 255)", 255).images[254] == 0
+
 
 class TestCompose:
     def test_pointwise(self):

@@ -29,8 +29,10 @@ SPECS = (
     "sym:1",
     "sym:5",
     "sym:12",
+    "sym:40",
     "alt:4",
     "alt:7",
+    "alt:30",
     "cyclic:1",
     "cyclic:12",
     "dihedral:8",
@@ -42,8 +44,10 @@ SPECS = (
     "wr:(sym:3,sym:3)",
     "wr:(sym:2,sym:4)",
     "wr:(cyclic:2,sym:4)",
+    "wr:(sym:8,sym:8)",
     "cent:(1 2)(3 4)@5",
     "cent:(1 2 3 4)(5 6 7 8)@8",
+    "cent:(1 2 3 4)(5 6 7 8)(9 10 11 12)(13 14 15 16)@40",
     "frob:7,3",
     "frob:11,5",
     "gamma:2,3",
