@@ -22,6 +22,7 @@ from itertools import filterfalse, islice
 from math import gcd
 
 from .arith import factorize, is_prime_power
+from .constructions import _affine, symmetric_group
 from .groups import DEFAULT_PI_CAP, PermGroup, PiSet, _close_codes, pi_set, subgroups
 from .partitions import (
     SetPartition,
@@ -161,7 +162,7 @@ def _closure_witness(pi: PiSet, generators: tuple[Permutation, ...], op_name: st
 
 def _has_element_of_full_order(group: PermGroup) -> bool:
     order = group.order
-    return group.first_element(lambda im: _image_order(im) == order) is not None
+    return any(_image_order(im) == order for im in group.element_images())
 
 
 def _pi_is_chain(pi: PiSet) -> bool:
@@ -227,14 +228,6 @@ def find_witness_element(group: PermGroup, partition: SetPartition) -> Permutati
 
 
 # --- classification of groups with a regular normal cyclic subgroup --------
-
-
-def _affine_group(n: int, h: tuple[int, ...]) -> PermGroup:
-    """Z_n extended by the multipliers in h, acting on Z_n."""
-    gens = [Permutation(tuple((x + 1) % n for x in range(n)))]
-    for u in h:
-        gens.append(Permutation(tuple(x * u % n for x in range(n))))
-    return PermGroup(gens, n)
 
 
 def _predict_normal_cyclic(n: int, h: tuple[int, ...]) -> bool:
@@ -314,7 +307,7 @@ def verify_normal_cyclic_classification(n: int) -> NormalCyclicReport:
         ]
     entries = []
     for h in multiplier_groups:
-        group = _affine_group(n, h)
+        group = _affine(n, h, n * len(h))
         report = analyze(group, meet=False, chain=False)
         entries.append(
             NormalCyclicEntry(
@@ -340,8 +333,6 @@ def census(degree: int, cap: int = DEFAULT_PI_CAP) -> Iterator[dict]:
     """
     if not 1 <= degree <= _CENSUS_DEGREE_MAX:
         raise ValueError("census degree must be between 1 and %d" % _CENSUS_DEGREE_MAX)
-    from .constructions import symmetric_group
-
     subs = subgroups(symmetric_group(degree))
     counts = {
         "transitive": 0,

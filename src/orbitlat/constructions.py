@@ -73,23 +73,27 @@ def alternating_group(n: int) -> PermGroup:
     return _checked_order(group, factorial(n) // 2 if n >= 3 else 1)
 
 
+def _affine(n: int, multipliers, expected: int) -> PermGroup:
+    """Z_n extended by the multipliers u, acting on Z_n: generated by
+    x -> x+1 (when n > 1), then x -> ux for each u in order, and of order
+    `expected`."""
+    gens = []
+    if n > 1:
+        gens.append(Permutation(tuple((x + 1) % n for x in range(n))))
+    gens += [Permutation(tuple(x * u % n for x in range(n))) for u in multipliers]
+    return _checked_order(PermGroup(gens, n), expected)
+
+
 def cyclic_group(n: int) -> PermGroup:
     """C_n acting on itself by translation."""
     _check_degree(n)
-    gens = [] if n == 1 else [Permutation(tuple((x + 1) % n for x in range(n)))]
-    group = PermGroup(gens, n)
-    return _checked_order(group, n)
+    return _affine(n, (), n)
 
 
 def dihedral_group(n: int) -> PermGroup:
     """The n-cycle together with x -> -x on Z_n; order 2n for n >= 3."""
     _check_degree(n)
-    gens = []
-    if n > 1:
-        gens.append(Permutation(tuple((x + 1) % n for x in range(n))))
-        gens.append(Permutation(tuple(-x % n for x in range(n))))
-    group = PermGroup(gens, n)
-    return _checked_order(group, 2 * n if n >= 3 else n)
+    return _affine(n, (n - 1,) if n > 1 else (), 2 * n if n >= 3 else n)
 
 
 _NAMED = ("sym", "alt", "cyclic", "dihedral")
@@ -101,8 +105,7 @@ def direct_sum_action(g: PermGroup, h: PermGroup) -> PermGroup:
     Points 0..|X|-1 carry the G-action, points |X|.. carry the H-action.
     """
     dg, dh = g.degree, h.degree
-    if dg + dh > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (dg + dh, DEGREE_CAP))
+    _check_degree(dg + dh)
     rest = bytes(range(dg, dg + dh))
     gens = [Permutation(p.images + rest) for p in g.generators]
     head = bytes(range(dg))
@@ -115,8 +118,7 @@ def product_action(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H acting coordinatewise on pairs; (x, y) is point y*|X| + x."""
     dg, dh = g.degree, h.degree
     degree = dg * dh
-    if degree > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (degree, DEGREE_CAP))
+    _check_degree(degree)
     gens = []
     for p in g.generators:
         gens.append(Permutation(tuple(y * dg + p.images[x] for y in range(dh) for x in range(dg))))
@@ -136,8 +138,7 @@ def wreath_imprimitive(g: PermGroup, h: PermGroup) -> PermGroup:
     """
     dg, dh = g.degree, h.degree
     degree = dg * dh
-    if degree > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (degree, DEGREE_CAP))
+    _check_degree(degree)
     gens = []
     for orbit in h.orbits():
         y0 = orbit[0]
@@ -212,13 +213,7 @@ def frobenius_cyclic(n: int, r: int) -> PermGroup:
             break
     if d is None:
         raise PostconditionError("no multiplier of order %d modulo %d" % (r, n))
-    gens = []
-    if n > 1:
-        gens.append(Permutation(tuple((x + 1) % n for x in range(n))))
-    if d > 1:
-        gens.append(Permutation(tuple(x * d % n for x in range(n))))
-    group = PermGroup(gens, max(n, 1))
-    return _checked_order(group, n * r)
+    return _affine(n, (d,) if d > 1 else (), n * r)
 
 
 def gamma_group(p: int, a: int) -> PermGroup:
@@ -226,15 +221,8 @@ def gamma_group(p: int, a: int) -> PermGroup:
     if not is_prime(p) or a < 2:
         raise GroupSpecError("need a prime p and a >= 2, got p=%r a=%r" % (p, a))
     n = p**a
-    if n > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (n, DEGREE_CAP))
-    r = p ** (a - 1) + 1
-    gens = [
-        Permutation(tuple((x + 1) % n for x in range(n))),
-        Permutation(tuple(x * r % n for x in range(n))),
-    ]
-    group = PermGroup(gens, n)
-    return _checked_order(group, p ** (a + 1))
+    _check_degree(n)
+    return _affine(n, (p ** (a - 1) + 1,), p ** (a + 1))
 
 
 def _mat_vec(field, v, m):
@@ -316,8 +304,7 @@ def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
     else:
         domain = projective_points(d, q)
         normalize = lambda v: normalize_projective(field, v)
-    if len(domain) > DEGREE_CAP:
-        raise GroupSpecError("degree %d exceeds cap %d" % (len(domain), DEGREE_CAP))
+    _check_degree(len(domain))
     index = {v: k for k, v in enumerate(domain)}
 
     gens = []

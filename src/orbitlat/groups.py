@@ -37,24 +37,32 @@ DEFAULT_SUBGROUP_CAP = 10_000
 _TAIL_MAX = 1024
 
 
-def _orbits(gens, points: Iterable[int]) -> list[list[int]]:
-    """Orbits of the permutations `gens` (images) on `points`, a union of
-    orbits, by breadth-first closure from each point not yet reached, in
-    the given order; each orbit sorted."""
-    seen = set()
-    out = []
-    for start in points:
-        if start not in seen:
-            seen.add(start)
-            orbit = [start]
-            for x in orbit:
-                for g in gens:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            out.append(sorted(orbit))
-    return out
+def _transversal(steps, pt: int, one: bytes) -> tuple[dict[int, bytes], dict[int, bytes]]:
+    """The orbit of `pt` under the permutations `steps`, each a (table,
+    inverse table) pair, with a representative for each orbit point x:
+    `reps[x]` is u as images (`one` is the identity as images) and `inv[x]`
+    is u^-1 as a table, where pt^u = x.
+
+    The orbit is searched breadth first, each layer in sorted point order
+    and each point by the steps in their order, so the representatives are
+    the same on every run.  (u s)^-1 = s^-1 u^-1, so each inverse is built
+    beside its representative and nothing is inverted.
+    """
+    reps = {pt: one}
+    inv = {pt: _IDENTITY}
+    frontier = [pt]
+    while frontier:
+        nxt = []
+        for x in sorted(frontier):
+            u, v = reps[x], inv[x]
+            for s, s_inv in steps:
+                y = s[x]
+                if y not in inv:
+                    reps[y] = u.translate(s)
+                    inv[y] = s_inv.translate(v)
+                    nxt.append(y)
+        frontier = nxt
+    return reps, inv
 
 
 def _close_codes(codes: set[bytes], frontier: list[bytes], gens) -> None:
@@ -78,6 +86,8 @@ class _Chain:
     Level i stores base[i], the strong generators that fix base[:i] and move
     base[i], the transversal {point: u} over the coset representatives u
     with base[i]^u == point, and the inverse transversal {point: u^-1}.
+    Both transversals are rebuilt by `_transversal` from the level's
+    generators (levels i and deeper) at the start of each Schreier pass.
 
     Inside the chain every permutation is `bytes`: an element or a forward
     representative as its `degree` images, a strong generator or an inverse
@@ -185,31 +195,10 @@ class _Chain:
         while not self._schreier_pass(i):
             pass
 
-    def _rebuild_orbit(self, i: int):
-        # (u s)^-1 = s^-1 u^-1: prepend each generator's inverse.
-        steps = self._level_gens(i)
-        pt = self.base[i]
-        reps = {pt: self.one}
-        inv = {pt: _IDENTITY}
-        frontier = [pt]
-        while frontier:
-            nxt = []
-            for x in sorted(frontier):
-                u, v = reps[x], inv[x]
-                for s, s_inv in steps:
-                    y = s[x]
-                    if y not in inv:
-                        reps[y] = u.translate(s)
-                        inv[y] = s_inv.translate(v)
-                        nxt.append(y)
-            frontier = nxt
-        self.reps[i] = reps
-        self.inverse[i] = inv
-
     def _schreier_pass(self, i: int) -> bool:
-        self._rebuild_orbit(i)
-        reps, inv = self.reps[i], self.inverse[i]
         gens_i = self._level_gens(i)
+        reps, inv = _transversal(gens_i, self.base[i], self.one)
+        self.reps[i], self.inverse[i] = reps, inv
         default, special = self._unproved(i, gens_i)
         strong, one = self.strong, self.one
         for x in sorted(inv):
@@ -316,6 +305,8 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for a generator-free group")
             degree = gens[0].degree
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
         if degree >= 256:
             raise ValueError("permutation groups need degree below 256, got %d" % degree)
         for g in gens:
@@ -344,13 +335,13 @@ class PermGroup:
     def element_images(self) -> Iterator[bytes]:
         return self._chain.element_images()
 
-    def first_element(self, test, allowed=None) -> Permutation | None:
+    def first_element(self, test, allowed) -> Permutation | None:
         """The first element in stream order whose images (bytes) pass `test`.
 
         The chain is searched depth first over its levels in stream order.
-        `allowed`, if given, holds for each point the images that an element
-        passing `test` may give it, and a prefix whose image of a base point
-        is not allowed is dropped with every element below it (the base-image
+        `allowed` holds for each point the images that an element passing
+        `test` may give it, and a prefix whose image of a base point is not
+        allowed is dropped with every element below it (the base-image
         backtrack; Seress, *Permutation Group Algorithms*, 9.1; Butler, LNCS
         559): the prefix product p of levels 0..i-1 times the level-i
         representative for pt maps base[i] to p[pt], and deeper levels fix
@@ -363,10 +354,10 @@ class PermGroup:
         def search(i, p):
             if i == len(base):
                 return p if test(p) else None
-            images = None if allowed is None else allowed[base[i]]
+            images = allowed[base[i]]
             table = _table(p)
             for pt, u in levels[i]:
-                if images is None or p[pt] in images:
+                if p[pt] in images:
                     found = search(i + 1, u.translate(table))
                     if found is not None:
                         return found
@@ -376,8 +367,19 @@ class PermGroup:
         return None if found is None else Permutation(found)
 
     def orbits(self) -> list[list[int]]:
-        """Orbits on points, by breadth-first closure under the generators."""
-        return _orbits([g.images for g in self.generators], range(self.degree))
+        """Orbits on points, each sorted, by least point.  Each is the
+        transversal orbit under the strong generators, which generate the
+        group."""
+        chain = self._chain
+        steps = chain._level_gens(0)
+        out = []
+        reached: set[int] = set()
+        for pt in range(self.degree):
+            if pt not in reached:
+                orbit = sorted(_transversal(steps, pt, chain.one)[1])
+                reached.update(orbit)
+                out.append(orbit)
+        return out
 
     def orbit_partition(self) -> SetPartition:
         return SetPartition.from_blocks(self.orbits(), self.degree)
@@ -418,12 +420,13 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
 
     Conjugation permutes orbit partitions: pi(t^-1 g t) = pi(g)^t.  Let β =
     base[0], Δ its orbit, G_β its stabilizer (the strong generators of
-    levels 1 and deeper) and C_b = {g : β^g = b} for b in Δ.  A
-    breadth-first search of G_β from the least point r of each G_β-orbit
-    O_r gives, for each b in O_r, a t_b in G_β with r^t_b = b; then
-    t_b^-1 C_r t_b = C_b, so pi(C_b) = pi(C_r)^t_b.  Only the cosets C_r
-    are streamed (Seress, *Permutation Group Algorithms*, ch. 4), and each
-    other b is reached by relabelling codes of C_r with t_b.
+    levels 1 and deeper) and C_b = {g : β^g = b} for b in Δ.  The
+    `_transversal` of G_β from the least point r of each G_β-orbit O_r,
+    the one the chain builds for its own levels, gives for each b in O_r a
+    t_b in G_β with r^t_b = b; then t_b^-1 C_r t_b = C_b, so pi(C_b) =
+    pi(C_r)^t_b.  Only the cosets C_r are streamed (Seress, *Permutation
+    Group Algorithms*, ch. 4), and each other b is reached by relabelling
+    codes of C_r with t_b.  Nothing below depends on which t_b is chosen.
 
     Most of those relabels would repeat a code, so each is made only where
     it can be new.  Let R(Q) = {β^g : pi(g) = Q}; for t in G_β, R(Q^t) =
@@ -461,21 +464,14 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     for r in sorted(chain.inverse[0]):
         if r in reached:
             continue
-        # Breadth-first transversal of G_β on O_r, kept as inv[b] = t_b^-1.
-        inv = {r: _IDENTITY}
-        orbit = [r]
-        for x in orbit:
-            for s, s_inv in steps:
-                y = s[x]
-                if y not in inv:
-                    inv[y] = s_inv.translate(inv[x])
-                    orbit.append(y)
-        reached.update(orbit)
-        if len(orbit) == 1:
+        # A transversal of G_β on O_r, kept as inv[b] = t_b^-1.
+        inv = _transversal(steps, r, chain.one)[1]
+        reached.update(inv)
+        if len(inv) == 1:
             codes.update(map(_orbit_rgs, chain.element_images([r])))
             continue
 
-        targets = orbit[1:]
+        targets = list(inv)[1:]
         full = (1 << len(targets)) - 1
         mask = [0] * degree
         for k, b in enumerate(targets):

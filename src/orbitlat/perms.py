@@ -42,20 +42,27 @@ def _orbit_rgs(images) -> bytes:
     return bytes(rgs)
 
 
-def _image_order(images) -> int:
-    """Order of the permutation with these images: lcm of its cycle lengths."""
+def _cycles(images) -> list[tuple[int, ...]]:
+    """All cycles of the permutation with these images (fixed points
+    included), min point first, sorted by min."""
+    out = []
     seen = [False] * len(images)
-    lengths = [1]
     for i in range(len(images)):
         if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
+            cyc = [i]
+            seen[i] = True
+            j = images[i]
+            while j != i:
+                cyc.append(j)
                 seen[j] = True
-                length += 1
                 j = images[j]
-            lengths.append(length)
-    return lcm(*lengths)
+            out.append(tuple(cyc))
+    return out
+
+
+def _image_order(images) -> int:
+    """Order of the permutation with these images: lcm of its cycle lengths."""
+    return lcm(*map(len, _cycles(images)))
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,8 @@ class Permutation:
     def __post_init__(self):
         images = self.images
         n = len(images)
+        if n < 1:
+            raise ValueError("degree must be at least 1")
         if n > 255:
             raise ValueError(_DEGREE_LIMIT % n)
         try:
@@ -148,19 +157,7 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), min point first, sorted by min."""
-        out = []
-        seen = [False] * self.degree
-        for i in range(self.degree):
-            if not seen[i]:
-                cyc = [i]
-                seen[i] = True
-                j = self.images[i]
-                while j != i:
-                    cyc.append(j)
-                    seen[j] = True
-                    j = self.images[j]
-                out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def order(self) -> int:
         return _image_order(self.images)

@@ -1,9 +1,10 @@
-"""No public API that only its own unit tests use.
+"""No public API that only its own unit tests use, and no unused helper.
 
-Every public top-level function and class of `orbitlat`, and every public
-method of a top-level class, must be referenced somewhere in the package or
-in `benchmarks/` outside its own definition: as a name, as an attribute, or
-in an import.  Tests do not count as callers.
+Every top-level function and class of `orbitlat`, and every method of a
+top-level class, public or private, must be referenced somewhere in the
+package or in `benchmarks/` outside its own definition: as a name, as an
+attribute, or in an import.  Tests do not count as callers.  Dunder methods
+are left out, because Python calls them by protocol.
 """
 
 import ast
@@ -29,18 +30,23 @@ def _references(tree) -> Counter:
     return out
 
 
-def _definitions(tree):
-    """(qualified name, name, node) of each public top-level function and
-    class, and of each public method of a top-level class."""
+def _definitions(tree, private: bool):
+    """(qualified name, name, node) of each top-level function and class,
+    and of each method of a top-level class, whose name is private (starts
+    with "_") or public as `private` says; dunder names are skipped."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def wanted(name):
+        return name.startswith("_") == private and not name.startswith("__")
+
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        if not node.name.startswith("_"):
+        if wanted(node.name):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not item.name.startswith("_"):
+                if isinstance(item, defs) and wanted(item.name):
                     yield "%s.%s" % (node.name, item.name), item.name, item
 
 
@@ -48,14 +54,24 @@ def _parse(path: Path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def _unused(private: bool) -> list[str]:
     used = Counter()
     for directory in CALLER_DIRS:
         for path in sorted(directory.glob("*.py")):
             used += _references(_parse(path))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, name, node in _definitions(_parse(path)):
+        for qualified, name, node in _definitions(_parse(path), private):
             if used[name] - _references(node)[name] <= 0:
                 unused.append("%s:%s" % (path.stem, qualified))
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    unused = _unused(private=False)
     assert unused == [], "public names with no caller outside tests: %s" % unused
+
+
+def test_every_private_name_has_a_caller_outside_tests():
+    unused = _unused(private=True)
+    assert unused == [], "private names with no caller outside tests: %s" % unused

@@ -328,6 +328,11 @@ class TestNormalCyclicClassification:
             images = [tuple(x * u % n for x in range(n)) for u in units]
             assert sorted(images) == sorted(images, key=lambda im: im[1 % n]), n
 
+    def test_entry_orders_are_n_times_the_multipliers(self):
+        for n in range(1, 17):
+            for e in verify_normal_cyclic_classification(n).entries:
+                assert e.order == n * len(e.multipliers), (n, e.multipliers)
+
     def test_mod_4_details(self):
         report = verify_normal_cyclic_classification(4)
         assert report.n == 4

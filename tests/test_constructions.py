@@ -67,6 +67,20 @@ class TestNamedFamilies:
         flip = Permutation(tuple(-x % 5 for x in range(5)))
         assert flip in d5
 
+    def test_affine_generators(self):
+        # x -> x+1 first, then x -> ux per multiplier; on Z_1 there is no
+        # translation, and dihedral:2 keeps its identity reflection, so
+        # `construct` writes the same generator files as ever.
+        assert cyclic_group(1).generators == dihedral_group(1).generators == ()
+        assert frobenius_cyclic(1, 1).generators == ()
+        assert [str(g) for g in cyclic_group(5).generators] == ["(1 2 3 4 5)"]
+        assert [str(g) for g in dihedral_group(2).generators] == ["(1 2)", "()"]
+        assert [str(g) for g in dihedral_group(5).generators] == ["(1 2 3 4 5)", "(2 5)(3 4)"]
+        assert [str(g) for g in gamma_group(2, 3).generators] == [
+            "(1 2 3 4 5 6 7 8)",
+            "(2 6)(4 8)",
+        ]
+
     def test_degree_bounds(self):
         for build in (symmetric_group, alternating_group, cyclic_group, dihedral_group):
             with pytest.raises(GroupSpecError):

@@ -285,16 +285,26 @@ class TestChain:
     @given(small_groups_st(), st.integers(0, 5), st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_first_element_is_first_match_of_the_stream(self, group, pt, order):
-        # The depth-first search without allowed images visits the whole
+        # With every image allowed, the depth-first search visits the whole
         # stream in order, so it finds the stream's first match or nothing.
+        # Allowed images that every match gives prune only non-matches, so
+        # the search finds the same element.
+        n = group.degree
+        q = min(pt, n - 1)
         images = list(group.element_images())
-        for test in (
-            lambda im: _image_order(im) == order,
-            lambda im: im[min(pt, group.degree - 1)] == pt,
-            lambda im: False,
+        every = [range(n)] * n
+        # Each point's images over the whole group: its orbit.
+        orbit_of = [{im[x] for im in images} for x in range(n)]
+        to_pt = [range(n)] * n
+        to_pt[q] = {pt}
+        for test, consistent in (
+            (lambda im: _image_order(im) == order, orbit_of),
+            (lambda im: im[q] == pt, to_pt),
+            (lambda im: False, [()] * n),
         ):
             expected = next((Permutation(im) for im in images if test(im)), None)
-            assert group.first_element(test) == expected
+            assert group.first_element(test, every) == expected
+            assert group.first_element(test, consistent) == expected
 
     def test_generator_degree_checked(self):
         with pytest.raises(ValueError):
@@ -327,8 +337,59 @@ class TestChain:
         with pytest.raises(ValueError, match="permutation groups need degree below 256, got 256"):
             PermGroup([], 256)
 
+    def test_degree_below_1_is_refused_before_any_chain_work(self, monkeypatch):
+        def chain(degree):
+            pytest.fail("a stabilizer chain was started")
+
+        monkeypatch.setattr(groups, "_Chain", chain)
+        for degree in (0, -3):
+            with pytest.raises(ValueError, match="degree must be at least 1"):
+                PermGroup([], degree)
+
+
+def bfs_orbits(group):
+    """Orbits under the input generators by breadth-first search from each
+    unreached point in order, each sorted; no stabilizer chain involved."""
+    reached = set()
+    out = []
+    for start in range(group.degree):
+        if start in reached:
+            continue
+        orbit = [start]
+        reached.add(start)
+        for x in orbit:
+            for g in group.generators:
+                if g(x) not in reached:
+                    reached.add(g(x))
+                    orbit.append(g(x))
+        out.append(sorted(orbit))
+    return out
+
+
+# One spec per family of the spec grammar (the packaged generator files
+# stand for `file:`).
+FAMILY_SPECS = (
+    "sym:5",
+    "alt:6",
+    "cyclic:12",
+    "dihedral:7",
+    "dsum:(cyclic:3,sym:4)",
+    "dprod:(sym:3,cyclic:4)",
+    "wr:(cyclic:3,sym:3)",
+    "cent:(1 2 3)(4 5 6)(7 8)@10",
+    "frob:7,3",
+    "gamma:3,2",
+    "lin:2,3,GL,points",
+)
+
 
 class TestActions:
+    def test_orbits_match_a_breadth_first_search_of_the_generators(self):
+        named = [build_group(spec) for spec in FAMILY_SPECS]
+        named += [_packaged_group("m11.gens")]
+        for group in itertools.chain(named, TestChain.random_groups()):
+            assert group.orbits() == bfs_orbits(group)
+
     def test_orbits_and_transitivity(self):
         g = PermGroup([Permutation.from_cycles("(1 2)(4 5 6)", 6)], 6)
         assert g.orbits() == [[0, 1], [2], [3, 4, 5]]

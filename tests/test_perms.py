@@ -100,9 +100,9 @@ class TestCompose:
         with pytest.raises(ValueError):
             perm("(1 2)", 3) * perm("(1 2)", 4)
 
-    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("degree", range(1, 6))
     def test_product_and_inverse_exhaustive(self, degree):
-        # Against the pointwise definitions, degrees 0 and 1 included.
+        # Against the pointwise definitions, degree 1 included.
         perms = list(itertools.permutations(range(degree)))
         for p in perms:
             inverse = [0] * degree
@@ -136,6 +136,11 @@ class TestConstruction:
     def test_non_bijections_are_refused(self):
         for images in [(0, 0), (1, 2), (-1, 0), (0, 256), (0, 1, 1)]:
             with pytest.raises(ValueError, match="not a bijection"):
+                Permutation(images)
+
+    def test_degree_0_is_refused(self):
+        for images in [(), b"", []]:
+            with pytest.raises(ValueError, match="degree must be at least 1"):
                 Permutation(images)
 
 
