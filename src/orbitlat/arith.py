@@ -1,4 +1,5 @@
-"""Tiny integer helpers: factorization by trial division, at desk scale."""
+"""Tiny integer helpers: reading, and factorization by trial division, at
+desk scale."""
 
 from __future__ import annotations
 
@@ -38,3 +39,22 @@ def multiplicative_order(d: int, modulus: int) -> int:
         x = x * d % modulus
         k += 1
     return k
+
+
+def read_int(text: str, limit: int, error: type[ValueError], what: str) -> int | None:
+    """`text` as an integer in ASCII digits with an optional leading '-'
+    (blanks around it ignored), or None if it is not one.
+
+    A number with more digits than `limit` exceeds it, so the digit count is
+    checked before int() reads the number; `error` then names `what`, and
+    the number only when it is short.
+    """
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    size = len(digits.lstrip("0"))
+    if size > len(str(limit)):
+        shown = text if size <= 20 else "of %d digits" % size
+        raise error("%s %s exceeds cap %d" % (what, shown, limit))
+    return int(text)

@@ -144,8 +144,12 @@ def _cmd_witness_wreath(args) -> int:
 def _cmd_construct(args) -> int:
     text = format_generator_file(build_group(args.spec), comment=args.spec.strip())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # Reported by `main` as one error line, exit 1.
+            raise ValueError("cannot write %s: %s" % (args.output, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
     return 0

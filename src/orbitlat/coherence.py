@@ -223,7 +223,7 @@ def find_witness_element(group: PermGroup, partition: SetPartition) -> Permutati
         raise ValueError("degree mismatch")
     want = partition.code()
     blocks = [set(block) for block in partition.blocks()]
-    allowed = [blocks[label] for label in partition.rgs]
+    allowed = {x: blocks[label] for x, label in enumerate(partition.rgs)}
     return group.first_element(lambda im: _orbit_rgs(im) == want, allowed)
 
 

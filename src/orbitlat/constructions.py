@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial, gcd, prod
 
-from .arith import factorize, is_prime, multiplicative_order
+from .arith import factorize, is_prime, multiplicative_order, read_int
 from .errors import GeneratorFileError, GroupSpecError, PostconditionError
 from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, normalize_projective, projective_points
 from .groups import PermGroup
@@ -430,22 +430,9 @@ def _split_pair(body: str, context: str) -> tuple[str, str]:
 
 
 def _read_int(text: str, what: str) -> int | None:
-    """`text` as an integer in ASCII digits with an optional leading '-'
-    (blanks around it ignored), or None if it is not one.
-
-    No parameter with more digits than DEGREE_CAP is valid, so the digit
-    count is checked before int() reads the number; the error shows the
-    number only when it is short.
-    """
-    text = text.strip()
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    size = len(digits.lstrip("0"))
-    if size > len(str(DEGREE_CAP)):
-        shown = text if size <= 20 else "of %d digits" % size
-        raise GroupSpecError("%s %s exceeds cap %d" % (what, shown, DEGREE_CAP))
-    return int(text)
+    """`text` as an integer parameter (see `read_int`); no parameter with
+    more digits than DEGREE_CAP is valid."""
+    return read_int(text, DEGREE_CAP, GroupSpecError, what)
 
 
 def _int_params(body: str, count: int, context: str) -> tuple[int, ...]:

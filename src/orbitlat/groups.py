@@ -7,9 +7,11 @@ element streaming order, and every derived result are reproducible across
 runs and machines.
 
 A permutation is its images as `bytes`, so a group's degree is below 256,
-and p followed by q is one call, ``p.translate(_table(q))``.  The chain,
-the element stream and the searches over it all work on these raw images;
-the `Permutation` wrapper, which holds the same bytes, appears only at the
+and p followed by q is one call, ``p.translate(_table(q))``.  The chain
+and its one walk, `_Chain.element_images`, work on these raw images: the
+walk is the element stream, pruned by allowed base images when it is
+given them, and the first-match search is its first match.  The
+`Permutation` wrapper, which holds the same bytes, appears only at the
 public surface.  Each strong generator is kept with its inverse and each
 coset representative beside its inverse, so sifting and orbit extension
 invert nothing.
@@ -17,9 +19,8 @@ invert nothing.
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -116,6 +117,11 @@ class _Chain:
     Every pair that can fail is still sifted in the same order, so the
     chain is the same by value as one whose passes sift every Schreier
     generator.
+
+    `element_images` is the one walk of the chain: the whole element stream,
+    or the part of it that maps named base points into allowed sets.
+    `pi_set` streams its level-0 cosets with it, and
+    `PermGroup.first_element` is its first match.
     """
 
     def __init__(self, degree: int):
@@ -252,48 +258,53 @@ class _Chain:
             n *= len(inv)
         return n
 
-    def element_images(self, points: Iterable[int] | None = None) -> Iterator[bytes]:
+    def element_images(self, allowed: Mapping | None = None) -> Iterator[bytes]:
         """Stream every element exactly once as a product over the transversals.
 
-        The order is deterministic: lexicographic in the sorted transversal
-        points of levels 0, 1, ..., deepest level innermost.  The deepest
-        levels whose product has at most _TAIL_MAX elements (never level 0)
-        form a tail that is multiplied out once per call; every product of
-        the remaining head levels is then applied to each tail element by
-        one `bytes.translate` call.
+        The levels are walked depth first, each in sorted transversal point
+        order, so the order is lexicographic in those points of levels 0, 1,
+        ..., deepest level innermost.  Each head level is one `_descend`
+        generator drawing lazily on the level above, so each prefix product
+        of levels 0..i is made once and shared by every element below it.
 
-        Given `points` from the orbit of base[0], only the level-0 cosets
-        {g : base[0]^g = b} for b in points are produced, in the same order,
-        so the whole stream is the concatenation of the streams of a sorted
-        prefix of the orbit and of the rest.  Without a base the group is
-        trivial and its one element is produced whatever `points` holds.
+        `allowed` maps points to the images an element may give them.  A
+        prefix that maps a named base point outside its set is dropped with
+        every element below it (the base-image backtrack; Seress,
+        *Permutation Group Algorithms*, 9.1; Butler, LNCS 559): the prefix
+        product p of levels 0..i-1 times the level-i representative for pt
+        maps base[i] to p[pt], and deeper levels fix base[i].  The elements
+        left are those of the whole stream, in the same order, that map
+        every named base point into its set.
+
+        The deepest levels that `allowed` does not name and whose product
+        has at most _TAIL_MAX elements (never level 0) form a tail that is
+        multiplied out once per call; each prefix of the remaining head
+        levels is then applied to each tail element by one
+        `bytes.translate` call.
         """
-        if not self.base:
-            yield self.one
-            return
-
-        keys = [sorted(reps) for reps in self.reps]
-        if points is not None:
-            keys[0] = sorted(points)
+        allowed = allowed or {}
         # Every representative as a table, padded once per call.
-        levels = [[_table(reps[pt]) for pt in pts] for reps, pts in zip(self.reps, keys)]
-        split = len(levels)
-        size = 1
-        while split > 1 and size * len(levels[split - 1]) <= _TAIL_MAX:
-            split -= 1
-            size *= len(levels[split])
-        # An element is u_last followed by ... by u_1 by u_0; with head p and
-        # tail t it is t followed by p.
+        levels = [[(pt, _table(reps[pt])) for pt in sorted(reps)] for reps in self.reps]
+        # An element is u_last followed by ... by u_1 by u_0; with head prefix
+        # p and tail t it is t followed by p.
         tail = [self.one]
-        for reps in reversed(levels[split:]):
-            tail = [t.translate(u) for u in reps for t in tail]
-
-        for head in product(*levels[:split]):
-            p = head[-1]
-            for u in head[-2::-1]:
-                p = p.translate(u)
+        while len(levels) > 1 and self.base[len(levels) - 1] not in allowed:
+            if len(tail) * len(levels[-1]) > _TAIL_MAX:
+                break
+            tail = [t.translate(u) for _, u in levels.pop() for t in tail]
+        heads = [_IDENTITY]
+        for pt, reps in zip(self.base, levels):
+            heads = _descend(heads, reps, allowed.get(pt))
+        for p in heads:
             for t in tail:
                 yield t.translate(p)
+
+
+def _descend(heads, reps, images) -> Iterator[bytes]:
+    """Each head prefix p (a table), in order, extended by each level
+    representative (pt, u) in order as u followed by p, keeping only those
+    that map the level's base point into `images` unless it is None."""
+    return (u.translate(p) for p in heads for pt, u in reps if images is None or p[pt] in images)
 
 
 class PermGroup:
@@ -336,34 +347,12 @@ class PermGroup:
         return self._chain.element_images()
 
     def first_element(self, test, allowed) -> Permutation | None:
-        """The first element in stream order whose images (bytes) pass `test`.
-
-        The chain is searched depth first over its levels in stream order.
-        `allowed` holds for each point the images that an element passing
-        `test` may give it, and a prefix whose image of a base point is not
-        allowed is dropped with every element below it (the base-image
-        backtrack; Seress, *Permutation Group Algorithms*, 9.1; Butler, LNCS
-        559): the prefix product p of levels 0..i-1 times the level-i
-        representative for pt maps base[i] to p[pt], and deeper levels fix
-        base[i].  The element found is the same.
-        """
-        chain = self._chain
-        base = chain.base
-        levels = [[(pt, reps[pt]) for pt in sorted(reps)] for reps in chain.reps]
-
-        def search(i, p):
-            if i == len(base):
-                return p if test(p) else None
-            images = allowed[base[i]]
-            table = _table(p)
-            for pt, u in levels[i]:
-                if p[pt] in images:
-                    found = search(i + 1, u.translate(table))
-                    if found is not None:
-                        return found
-            return None
-
-        found = search(0, chain.one)
+        """The first element in stream order whose images (bytes) pass
+        `test`, or None.  `allowed` maps points to the images that an
+        element passing `test` may give them, so the first match of the
+        pruned walk `_Chain.element_images(allowed)` is the first match of
+        the whole stream."""
+        found = next(filter(test, self._chain.element_images(allowed)), None)
         return None if found is None else Permutation(found)
 
     def orbits(self) -> list[list[int]]:
@@ -468,7 +457,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
         inv = _transversal(steps, r, chain.one)[1]
         reached.update(inv)
         if len(inv) == 1:
-            codes.update(map(_orbit_rgs, chain.element_images([r])))
+            codes.update(map(_orbit_rgs, chain.element_images({beta: {r}})))
             continue
 
         targets = list(inv)[1:]
@@ -484,7 +473,7 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
 
         allowed: dict[bytes, int] = {}
         get = allowed.get
-        for im in chain.element_images([r]):
+        for im in chain.element_images({beta: {r}}):
             code = _orbit_rgs(im)
             allowed[code] = get(code, full) & mask[im.index(beta)]
         codes.update(allowed)

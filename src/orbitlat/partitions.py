@@ -19,6 +19,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+from .arith import read_int
 from .errors import PartitionFormatError
 
 _IDENTITY = bytes(range(256))
@@ -157,7 +158,8 @@ class SetPartition:
 
     @classmethod
     def from_string(cls, text: str, degree: int) -> SetPartition:
-        """Parse the 1-based textual form, e.g. ``"{1,2|3|4}"``."""
+        """Parse the 1-based textual form, e.g. ``"{1,2|3|4}"``; points are
+        ASCII integers (`read_int`) of at most as many digits as 255."""
         text = text.strip()
         if not (text.startswith("{") and text.endswith("}")):
             raise PartitionFormatError("expected {...}: %r" % text)
@@ -166,10 +168,10 @@ class SetPartition:
             toks = chunk.replace(",", " ").split()
             if not toks:
                 raise PartitionFormatError("empty block in %r" % text)
-            try:
-                blocks.append([int(t) - 1 for t in toks])
-            except ValueError:
-                raise PartitionFormatError("non-integer point in %r" % chunk) from None
+            points = [read_int(t, 255, PartitionFormatError, "point") for t in toks]
+            if None in points:
+                raise PartitionFormatError("non-integer point in %r" % chunk)
+            blocks.append([x - 1 for x in points])
         try:
             return cls.from_blocks(blocks, degree)
         except ValueError as exc:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from math import lcm
 
+from .arith import read_int
 from .errors import CycleNotationError
 from .partitions import _IDENTITY, SetPartition, _table
 
@@ -108,10 +109,11 @@ class Permutation:
     def from_cycles(cls, text: str, degree: int) -> Permutation:
         """Parse 1-based disjoint cycle notation, e.g. ``"(1 7)(4 10)"``.
 
-        Points may be separated by spaces or commas.  Raises
-        CycleNotationError for unbalanced parentheses, stray text, points
-        outside 1..degree, or a point appearing twice, and ValueError for a
-        degree of 256 or more.
+        Points are ASCII integers (`read_int`), separated by spaces or
+        commas.  Raises CycleNotationError for unbalanced parentheses, stray
+        text, a point that is not an ASCII integer, has more digits than 255
+        or lies outside 1..degree, or a point appearing twice, and
+        ValueError for a degree of 256 or more.
         """
         if degree < 1:
             raise CycleNotationError("degree must be at least 1")
@@ -125,10 +127,9 @@ class Permutation:
         seen: set[int] = set()
         for match in _CYCLE_RE.finditer(text):
             toks = match.group(1).replace(",", " ").split()
-            try:
-                points = [int(t) for t in toks]
-            except ValueError:
-                raise CycleNotationError("non-integer point in %r" % match.group(0)) from None
+            points = [read_int(t, 255, CycleNotationError, "point") for t in toks]
+            if None in points:
+                raise CycleNotationError("non-integer point in %r" % match.group(0))
             for pt in points:
                 if not 1 <= pt <= degree:
                     raise CycleNotationError("point %d outside 1..%d" % (pt, degree))

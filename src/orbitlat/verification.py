@@ -20,9 +20,15 @@ from .coherence import (
     classify_chain,
     verify_normal_cyclic_classification,
 )
-from .constructions import build_group, load_generators, symmetric_group
+from .constructions import (
+    build_group,
+    centralizer_in_sym,
+    load_generators,
+    symmetric_group,
+    wreath_imprimitive,
+)
 from .groups import PermGroup, pi_set, subgroups
-from .partitions import SetPartition, _relabel
+from .partitions import SetPartition, _relabel, all_partitions
 from .perms import Permutation
 from .witnesses import (
     build_centralizer_element,
@@ -292,8 +298,6 @@ def _claim_chain_characterization() -> tuple[bool, str]:
 
 
 def _centralizer_cases(rng: random.Random, n: int, count: int):
-    from .constructions import centralizer_in_sym
-
     for _ in range(count):
         images = list(range(n))
         rng.shuffle(images)
@@ -329,8 +333,6 @@ def _claim_witness_round_trips() -> tuple[bool, str]:
 
     wreath_checked = 0
     small = [sub for n in range(1, 4) for sub in subgroups(symmetric_group(n))]
-    from .constructions import wreath_imprimitive
-    from .partitions import all_partitions
 
     for g_group in small:
         for h_group in small:
@@ -424,8 +426,6 @@ def _claim_m23() -> tuple[bool, str]:
 
 
 def _claim_centralizer_closure() -> tuple[bool, str]:
-    from .constructions import centralizer_in_sym
-
     failures: list[str] = []
     checked = 0
     for n in range(1, 7):

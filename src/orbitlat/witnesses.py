@@ -125,7 +125,7 @@ def _translation(g_group: PermGroup, code: bytes, dx: int, y: int, z: int) -> Pe
     points: dict[int, set[int]] = {}
     for p, label in enumerate(at_z):
         points.setdefault(label, set()).add(p)
-    allowed = [points[label] for label in at_y]
+    allowed = {x: points[label] for x, label in enumerate(at_y)}
     at_z_table = _table(at_z)
     found = g_group.first_element(lambda im: im.translate(at_z_table) == at_y, allowed)
     memo[key] = found

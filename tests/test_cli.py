@@ -103,6 +103,45 @@ class TestCheck:
         assert err == "error: %s\n" % message and len(err) < 200
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # int() would read "1_0" as 10, "+4" as 4 and the Arabic-Indic
+            # digit four as 4.
+            (["orbits", "cent:(1_0 2)@12"], "cent: non-integer point in '(1_0 2)'"),
+            (["witness-cent", "(1_2)@4", "{1,2|3|4}"], "element spec: non-integer point in '(1_2)'"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|\u0664}"], "non-integer point in '\u0664'"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|+4}"], "non-integer point in '+4'"),
+            (["orbits", "cent:(1 %s)@12" % ("1" * 5000)], "cent: point of 5000 digits exceeds cap 255"),
+            (["witness-cent", "(1 2)@4", "{1,2|%s}" % ("3" * 5000)], "point of 5000 digits exceeds cap 255"),
+            (["orbits", "cent:(1 2)(3 4444)@12"], "cent: point 4444 exceeds cap 255"),
+            # Refused with the same message as before the digit rule.
+            (["orbits", "cent:(1 256)@12"], "cent: point 256 outside 1..12"),
+            (["orbits", "cent:(1 -2)@12"], "cent: point -2 outside 1..12"),
+            (["orbits", "cent:(1 x)@12"], "cent: non-integer point in '(1 x)'"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|4.0}"], "non-integer point in '4.0'"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|4|0}"], "point -1 outside 0..3"),
+        ],
+        ids=[
+            "cycle-underscore",
+            "element-underscore",
+            "partition-arabic-indic",
+            "partition-plus",
+            "cycle-5000-digits",
+            "partition-5000-digits",
+            "cycle-4-digits",
+            "cycle-256",
+            "cycle-negative",
+            "cycle-letter",
+            "partition-decimal-point",
+            "partition-zero",
+        ],
+    )
+    def test_points_read_as_ascii_digits(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize(
         "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]
     )
     def test_combined_degree_fails_before_any_build(self, capsys, monkeypatch, spec):
@@ -233,6 +272,15 @@ class TestConstruct:
         code, out, _ = run(capsys, "check", "file:%s" % path)
         assert code == 0
         assert json.loads(out)["order"] == 72
+
+    @pytest.mark.parametrize(
+        "where,reason", [("missing/x.gens", "No such file or directory"), ("", "Is a directory")]
+    )
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, where, reason):
+        path = tmp_path / where
+        code, out, err = run(capsys, "construct", "sym:3", "-o", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: cannot write %s: %s\n" % (path, reason)
 
 
 class TestOutputPins:

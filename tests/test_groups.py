@@ -275,12 +275,37 @@ class TestChain:
             chain = group._chain
             whole = list(chain.element_images())
             orbit = sorted(chain.inverse[0])
+            beta = chain.base[0]
             for cut in range(len(orbit) + 1):
                 rest = orbit[cut:]
                 random.Random(cut).shuffle(rest)
-                parts = list(chain.element_images(orbit[:cut]))
-                parts += chain.element_images(rest)
+                parts = list(chain.element_images({beta: orbit[:cut]}))
+                parts += chain.element_images({beta: rest})
                 assert parts == whole
+
+    @given(
+        st.one_of(st.builds(PermGroup, st.just([]), st.integers(1, 6)), small_groups_st()),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_allowed_images_filter_the_stream(self, group, data):
+        # The pruned walk gives the elements of the whole stream, in order,
+        # that map every named base point into its set.  With base[0] alone
+        # named the deeper levels form the tail; with every point named
+        # there is no tail.
+        chain = group._chain
+        n = group.degree
+        whole = list(chain.element_images())
+        images = st.sets(st.integers(0, n - 1))
+        empty_at = data.draw(st.integers(0, n - 1))
+        for allowed in (
+            {b: data.draw(images) for b in chain.base[:1]},
+            {x: data.draw(images) for x in range(n)},
+            {**dict.fromkeys(range(n), range(n)), empty_at: set()},
+        ):
+            named = [b for b in chain.base if b in allowed]
+            expected = [im for im in whole if all(im[b] in allowed[b] for b in named)]
+            assert list(chain.element_images(allowed)) == expected
 
     @given(small_groups_st(), st.integers(0, 5), st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
@@ -292,15 +317,14 @@ class TestChain:
         n = group.degree
         q = min(pt, n - 1)
         images = list(group.element_images())
-        every = [range(n)] * n
+        every = dict.fromkeys(range(n), range(n))
         # Each point's images over the whole group: its orbit.
-        orbit_of = [{im[x] for im in images} for x in range(n)]
-        to_pt = [range(n)] * n
-        to_pt[q] = {pt}
+        orbit_of = {x: {im[x] for im in images} for x in range(n)}
+        to_pt = {**every, q: {pt}}
         for test, consistent in (
             (lambda im: _image_order(im) == order, orbit_of),
             (lambda im: im[q] == pt, to_pt),
-            (lambda im: False, [()] * n),
+            (lambda im: False, dict.fromkeys(range(n), ())),
         ):
             expected = next((Permutation(im) for im in images if test(im)), None)
             assert group.first_element(test, every) == expected
