@@ -1,5 +1,16 @@
 """Shared exception types."""
 
+# Longest input text an error message quotes whole.
+_QUOTE_MAX = 40
+
+
+def _quoted(text: str) -> str:
+    """`text` quoted for an error message, cut to its first _QUOTE_MAX
+    characters with its length named when it is longer."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:_QUOTE_MAX], len(text))
+
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed its configured cap.

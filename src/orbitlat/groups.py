@@ -120,7 +120,7 @@ class _Chain:
 
     `element_images` is the one walk of the chain: the whole element stream,
     or the part of it that maps named base points into allowed sets.
-    `pi_set` streams its level-0 cosets with it, and
+    `pi_set` streams the cosets of each level with it, and
     `PermGroup.first_element` is its first match.
     """
 
@@ -138,6 +138,9 @@ class _Chain:
         # The images of the identity and of every strong generator and its
         # inverse (rule 1 above).
         self.strong = {self.one}
+        # Per level: (point, representative as a table) in sorted point
+        # order, built by the first walk after the chain last changed.
+        self.walk: list[list[tuple[int, bytes]]] | None = None
 
     def _new_level(self, pt: int):
         self.base.append(pt)
@@ -175,6 +178,7 @@ class _Chain:
         r = self.sift(images)
         if r == self.one:
             return
+        self.walk = None
         j = self._insert(r)
         for i in range(j, -1, -1):
             self._validate(i)
@@ -280,20 +284,25 @@ class _Chain:
         has at most _TAIL_MAX elements (never level 0) form a tail that is
         multiplied out once per call; each prefix of the remaining head
         levels is then applied to each tail element by one
-        `bytes.translate` call.
+        `bytes.translate` call.  The representatives are padded to tables
+        by the first walk and kept in `walk` until the chain next changes.
         """
         allowed = allowed or {}
-        # Every representative as a table, padded once per call.
-        levels = [[(pt, _table(reps[pt])) for pt in sorted(reps)] for reps in self.reps]
+        if self.walk is None:
+            self.walk = [[(pt, _table(reps[pt])) for pt in sorted(reps)] for reps in self.reps]
+        levels = self.walk
         # An element is u_last followed by ... by u_1 by u_0; with head prefix
-        # p and tail t it is t followed by p.
+        # p and tail t it is t followed by p.  Levels `head` and deeper form
+        # the tail.
         tail = [self.one]
-        while len(levels) > 1 and self.base[len(levels) - 1] not in allowed:
-            if len(tail) * len(levels[-1]) > _TAIL_MAX:
+        head = len(levels)
+        while head > 1 and self.base[head - 1] not in allowed:
+            if len(tail) * len(levels[head - 1]) > _TAIL_MAX:
                 break
-            tail = [t.translate(u) for _, u in levels.pop() for t in tail]
+            head -= 1
+            tail = [t.translate(u) for _, u in levels[head] for t in tail]
         heads = [_IDENTITY]
-        for pt, reps in zip(self.base, levels):
+        for pt, reps in zip(self.base[:head], levels):
             heads = _descend(heads, reps, allowed.get(pt))
         for p in heads:
             for t in tail:
@@ -407,32 +416,45 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
     would be required.  `workers` is accepted for existing callers and
     ignored: the work is serial.
 
-    Conjugation permutes orbit partitions: pi(t^-1 g t) = pi(g)^t.  Let β =
-    base[0], Δ its orbit, G_β its stabilizer (the strong generators of
-    levels 1 and deeper) and C_b = {g : β^g = b} for b in Δ.  The
-    `_transversal` of G_β from the least point r of each G_β-orbit O_r,
-    the one the chain builds for its own levels, gives for each b in O_r a
-    t_b in G_β with r^t_b = b; then t_b^-1 C_r t_b = C_b, so pi(C_b) =
-    pi(C_r)^t_b.  Only the cosets C_r are streamed (Seress, *Permutation
-    Group Algorithms*, ch. 4), and each other b is reached by relabelling
-    codes of C_r with t_b.  Nothing below depends on which t_b is chosen.
+    Level i of the chain holds G^(i), generated by the strong generators of
+    levels i and deeper, with β = base[i] and Δ its G^(i)-orbit; G^(i+1) is
+    the stabilizer of β in G^(i), and G^(k) = 1 for k = len(base).
+    With C_x = {g in G^(i) : β^g = x}, G^(i) is the disjoint union of
+    G^(i+1) = C_β and the C_x for x in Δ - {β}, so pi(G^(i)) = pi(G^(i+1))
+    ∪ the pi(C_x).  The levels are taken deepest first, from pi(1) = {the
+    identity's code}, and each adds its cosets C_x, x ≠ β; C_β is never
+    streamed, since the levels below have made its codes.
+
+    Conjugation permutes orbit partitions: pi(t^-1 g t) = pi(g)^t.  The
+    `_transversal` of G^(i+1) from the least point r of each G^(i+1)-orbit
+    O_r ≠ {β} on Δ, the one the chain builds for its own levels, gives for
+    each b in O_r a t_b in G^(i+1) with r^t_b = b; then t_b^-1 C_r t_b =
+    C_b, so pi(C_b) = pi(C_r)^t_b.  Only the cosets C_r are streamed
+    (Seress, *Permutation Group Algorithms*, ch. 4), as the elements that
+    fix base[:i] and map β to r, and each other b is reached by
+    relabelling codes of C_r with t_b.  Nothing below depends on which t_b
+    is chosen.
 
     Most of those relabels would repeat a code, so each is made only where
-    it can be new.  Let R(Q) = {β^g : pi(g) = Q}; for t in G_β, R(Q^t) =
-    R(Q)^t.  Lemma: if g realizes Q and β lies in a cycle B of g of length
-    l, then g^j has the cycles of g for every j coprime to ord(g), so
-    β^(g^-1) is in R(Q), and R(Q) = B - {β} when l is prime (the powers
-    g^j then move β to every other point of B, and nothing realizing Q can
-    move β out of B).  Emission rule: while C_r is streamed, each code P
-    collects the points p = β^(g^-1) of its elements g; U is B - {β} if
-    |B| is prime and {r} with every collected p otherwise, a subset of
-    R(P) holding r.  P is relabelled to b only when min U^t_b = b, tested
-    as an AND of per-point bitmasks over O_r (bit b set in mask[x] iff
-    x^t_b > b; mask[r] and mask[β] are full).  Every Q in pi(G) is still
-    made: with m = min R(Q) in O_r, P = Q^(t_m^-1) comes from C_r and
-    U^t_m is a subset of R(Q) holding m.  Each code is thus relabelled
-    about once, where closing the codes under the group's generators
-    relabelled each once per generator.
+    it can be new.  Let R(Q) = {β^g : g in G^(i), pi(g) = Q}; for t in
+    G^(i+1), R(Q^t) = R(Q)^t.  Lemma: if g in G^(i) realizes Q and β lies
+    in a cycle B of g of length l, then g^j, also in G^(i), has the cycles
+    of g for every j coprime to ord(g), so β^(g^-1) is in R(Q), and R(Q) =
+    B - {β} when l is prime (the powers g^j then move β to every other
+    point of B, and nothing realizing Q can move β out of B).  Emission
+    rule: while C_r is streamed, each code P collects the points p =
+    β^(g^-1) of its elements g; U is B - {β} if |B| is prime and {r} with
+    every collected p otherwise, a subset of R(P) - {β} holding r (an
+    element of C_r moves β).  P is relabelled to b only when min U^t_b =
+    b, tested as an AND of per-point bitmasks over O_r (bit b set in
+    mask[x] iff x^t_b > b; mask[r] and mask[β] are full).  Every Q of a
+    coset C_x, x ≠ β, is still made: with m = min (R(Q) - {β}), in some
+    O_r, P = Q^(t_m^-1) comes from C_r and U^t_m is a subset of R(Q) - {β}
+    holding m.  Each code is thus relabelled about once, where closing the
+    codes under the group's generators relabelled each once per generator.
+
+    Deepest level first, the last and largest batch of codes is added to
+    the set from a dict, which sizes the set's table once.
     """
     order = group.order
     if order > cap:
@@ -440,56 +462,57 @@ def pi_set(group: PermGroup, cap: int = DEFAULT_PI_CAP, workers: int = 1) -> PiS
             "group order %d exceeds enumeration cap %d" % (order, cap), required=order
         )
     chain = group._chain
-    if not chain.base:
-        return PiSet(group.degree, {_orbit_rgs(chain.one)}, order)
-    beta = chain.base[0]
     degree = group.degree
-    # The strong generators of G_β as (table, inverse table), inverted by the chain.
-    steps = chain._level_gens(1)
     primes = {n for n in range(2, degree + 1) if is_prime(n)}
-    codes: set[bytes] = set()
+    codes = {_orbit_rgs(chain.one)}
     table = bytearray(256)
-    reached: set[int] = set()
-    for r in sorted(chain.inverse[0]):
-        if r in reached:
-            continue
-        # A transversal of G_β on O_r, kept as inv[b] = t_b^-1.
-        inv = _transversal(steps, r, chain.one)[1]
-        reached.update(inv)
-        if len(inv) == 1:
-            codes.update(map(_orbit_rgs, chain.element_images({beta: {r}})))
-            continue
+    for i in range(len(chain.base) - 1, -1, -1):
+        beta = chain.base[i]
+        fixed = {pt: {pt} for pt in chain.base[:i]}
+        # The strong generators of G^(i+1) as (table, inverse table), inverted by the chain.
+        steps = chain._level_gens(i + 1)
+        reached = {beta}
+        for r in sorted(chain.inverse[i]):
+            if r in reached:
+                continue
+            # A transversal of G^(i+1) on O_r, kept as inv[b] = t_b^-1.
+            inv = _transversal(steps, r, chain.one)[1]
+            reached.update(inv)
+            stream = chain.element_images({**fixed, beta: {r}})
+            if len(inv) == 1:
+                codes.update(map(_orbit_rgs, stream))
+                continue
 
-        targets = list(inv)[1:]
-        full = (1 << len(targets)) - 1
-        mask = [0] * degree
-        for k, b in enumerate(targets):
-            bit = 1 << k
-            # x^t_b > b exactly for the points x = y^(t_b^-1) with y > b.
-            for x in inv[b][b + 1 : degree]:
-                mask[x] |= bit
-        mask[r] = mask[beta] = full
-        relabels = [inv[b][:degree] for b in targets]
+            targets = list(inv)[1:]
+            full = (1 << len(targets)) - 1
+            mask = [0] * degree
+            for k, b in enumerate(targets):
+                bit = 1 << k
+                # x^t_b > b exactly for the points x = y^(t_b^-1) with y > b.
+                for x in inv[b][b + 1 : degree]:
+                    mask[x] |= bit
+            mask[r] = mask[beta] = full
+            relabels = [inv[b][:degree] for b in targets]
 
-        allowed: dict[bytes, int] = {}
-        get = allowed.get
-        for im in chain.element_images({beta: {r}}):
-            code = _orbit_rgs(im)
-            allowed[code] = get(code, full) & mask[im.index(beta)]
-        codes.update(allowed)
-        for code, bits in allowed.items():
-            label = code[beta]
-            size = code.count(label)
-            if size in primes:
-                x = -1
-                for _ in range(size):
-                    x = code.index(label, x + 1)
-                    bits &= mask[x]
-            code_table = _table(code)
-            while bits:
-                low = bits & -bits
-                codes.add(_relabel(relabels[low.bit_length() - 1].translate(code_table), table))
-                bits ^= low
+            allowed: dict[bytes, int] = {}
+            get = allowed.get
+            for im in stream:
+                code = _orbit_rgs(im)
+                allowed[code] = get(code, full) & mask[im.index(beta)]
+            codes.update(allowed)
+            for code, bits in allowed.items():
+                label = code[beta]
+                size = code.count(label)
+                if size in primes:
+                    x = -1
+                    for _ in range(size):
+                        x = code.index(label, x + 1)
+                        bits &= mask[x]
+                code_table = _table(code)
+                while bits:
+                    low = bits & -bits
+                    codes.add(_relabel(relabels[low.bit_length() - 1].translate(code_table), table))
+                    bits ^= low
     return PiSet(degree, codes, order)
 
 

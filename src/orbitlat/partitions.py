@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .arith import read_int
-from .errors import PartitionFormatError
+from .errors import PartitionFormatError, _quoted
 
 _IDENTITY = bytes(range(256))
 _TAILS = [bytes([label]) for label in range(256)]
@@ -138,8 +138,11 @@ class SetPartition:
         return max(self.rgs) + 1
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], degree: int) -> SetPartition:
-        """Build from explicit blocks; they must be disjoint, nonempty and cover."""
+    def from_blocks(
+        cls, blocks: Iterable[Iterable[int]], degree: int, first: int = 0
+    ) -> SetPartition:
+        """Build from explicit blocks of points numbered from `first`; they
+        must be disjoint, nonempty and cover.  Errors name points as given."""
         _check_degree(degree)
         labels = [-1] * degree
         for k, block in enumerate(blocks):
@@ -147,13 +150,13 @@ class SetPartition:
             if not block:
                 raise ValueError("empty block")
             for pt in block:
-                if not 0 <= pt < degree:
-                    raise ValueError("point %r outside 0..%d" % (pt, degree - 1))
-                if labels[pt] != -1:
+                if not first <= pt < first + degree:
+                    raise ValueError("point %r outside %d..%d" % (pt, first, first + degree - 1))
+                if labels[pt - first] != -1:
                     raise ValueError("point %d in two blocks" % pt)
-                labels[pt] = k
+                labels[pt - first] = k
         if -1 in labels:
-            raise ValueError("point %d not covered" % labels.index(-1))
+            raise ValueError("point %d not covered" % (labels.index(-1) + first))
         return cls(_relabel(bytes(labels), bytearray(256)))
 
     @classmethod
@@ -162,18 +165,18 @@ class SetPartition:
         ASCII integers (`read_int`) of at most as many digits as 255."""
         text = text.strip()
         if not (text.startswith("{") and text.endswith("}")):
-            raise PartitionFormatError("expected {...}: %r" % text)
+            raise PartitionFormatError("expected {...}: %s" % _quoted(text))
         blocks = []
         for chunk in text[1:-1].split("|"):
             toks = chunk.replace(",", " ").split()
             if not toks:
-                raise PartitionFormatError("empty block in %r" % text)
+                raise PartitionFormatError("empty block in %s" % _quoted(text))
             points = [read_int(t, 255, PartitionFormatError, "point") for t in toks]
             if None in points:
-                raise PartitionFormatError("non-integer point in %r" % chunk)
-            blocks.append([x - 1 for x in points])
+                raise PartitionFormatError("non-integer point in %s" % _quoted(chunk))
+            blocks.append(points)
         try:
-            return cls.from_blocks(blocks, degree)
+            return cls.from_blocks(blocks, degree, first=1)
         except ValueError as exc:
             raise PartitionFormatError(str(exc)) from None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .arith import read_int
-from .errors import CycleNotationError
+from .errors import CycleNotationError, _quoted
 from .partitions import _IDENTITY, SetPartition, _table
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -122,14 +122,14 @@ class Permutation:
             raise ValueError(_DEGREE_LIMIT % degree)
         outside = _CYCLE_RE.sub("", text)
         if outside.strip(" ,\t\n"):
-            raise CycleNotationError("unexpected text outside cycles: %r" % text)
+            raise CycleNotationError("unexpected text outside cycles: %s" % _quoted(text))
         images = list(range(degree))
         seen: set[int] = set()
         for match in _CYCLE_RE.finditer(text):
             toks = match.group(1).replace(",", " ").split()
             points = [read_int(t, 255, CycleNotationError, "point") for t in toks]
             if None in points:
-                raise CycleNotationError("non-integer point in %r" % match.group(0))
+                raise CycleNotationError("non-integer point in %s" % _quoted(match.group(0)))
             for pt in points:
                 if not 1 <= pt <= degree:
                     raise CycleNotationError("point %d outside 1..%d" % (pt, degree))

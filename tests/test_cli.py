@@ -119,7 +119,12 @@ class TestCheck:
             (["orbits", "cent:(1 -2)@12"], "cent: point -2 outside 1..12"),
             (["orbits", "cent:(1 x)@12"], "cent: non-integer point in '(1 x)'"),
             (["witness-cent", "(1 2)@4", "{1,2|3|4.0}"], "non-integer point in '4.0'"),
-            (["witness-cent", "(1 2)@4", "{1,2|3|4|0}"], "point -1 outside 0..3"),
+            # Partition points are named as typed, 1-based.
+            (["witness-cent", "(1 2)@4", "{1,2|3|4|0}"], "point 0 outside 1..4"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|-4}"], "point -4 outside 1..4"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|4|9}"], "point 9 outside 1..4"),
+            (["witness-cent", "(1 2)@4", "{1,2|2|3|4}"], "point 2 in two blocks"),
+            (["witness-cent", "(1 2)@4", "{1,2|3}"], "point 4 not covered"),
         ],
         ids=[
             "cycle-underscore",
@@ -134,12 +139,31 @@ class TestCheck:
             "cycle-letter",
             "partition-decimal-point",
             "partition-zero",
+            "partition-negative",
+            "partition-above-degree",
+            "partition-repeated",
+            "partition-uncovered",
         ],
     )
     def test_points_read_as_ascii_digits(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["orbits", "cent:(%s 2)@4" % ("x" * 5000)], "cent: non-integer point in '(xxx"),
+            (["orbits", "cent:(1 2)%s@4" % ("q" * 5000)], "cent: unexpected text outside cycles: '(1 2)qqq"),
+            (["witness-cent", "(1 2)@4", "{1,2|3|%s}" % ("z" * 5000)], "non-integer point in 'zzz"),
+        ],
+        ids=["cycle-point", "cycle-outside", "partition-point"],
+    )
+    def test_long_text_quoted_in_part(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s" % message)
+        assert err.endswith(" characters)\n") and err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize(
         "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]

@@ -64,6 +64,14 @@ class TestChain:
         assert set(streamed) == closure
         assert {type(images) for images in streamed} == {bytes}
 
+    def test_walk_follows_a_grown_chain(self):
+        # The walk keeps its padded representatives until the chain changes.
+        chain = groups._Chain(4)
+        chain.add(bytes([1, 0, 2, 3]))
+        assert len(list(chain.element_images())) == 2
+        chain.add(bytes([1, 2, 3, 0]))
+        assert set(chain.element_images()) == set(map(bytes, itertools.permutations(range(4))))
+
     @given(small_groups_st())
     @settings(max_examples=100, deadline=None)
     def test_membership(self, group):
@@ -476,9 +484,10 @@ class TestPiSet:
 
     def test_matches_whole_stream(self):
         # dsum:(cyclic:4,sym:3) has base[0] in the cyclic part, whose
-        # stabilizer fixes every point of its orbit, so it takes the whole
-        # stream; the other groups stream a few cosets and relabel their
-        # codes onto the rest.
+        # stabilizer fixes every point of its orbit, so each level-0 coset
+        # but the stabilizer is streamed and none relabelled; the other
+        # groups stream a few cosets per level and relabel their codes onto
+        # the rest.
         named = [
             build_group(spec)
             for spec in (
@@ -489,6 +498,9 @@ class TestPiSet:
                 "wr:(sym:3,sym:3)",
                 "lin:3,4,SL·Frob,lines",
                 "lin:3,4,GL·Frob,lines",
+                "alt:9",
+                "wr:(sym:2,sym:4)",
+                "cent:(1 2)(3 4)(5 6)(7 8)@8",
             )
         ]
         named += [_packaged_group("m11.gens"), _packaged_group("psl2_11.gens")]
@@ -496,9 +508,12 @@ class TestPiSet:
             assert pi_set(group).codes == self.oracle(group)
 
     def test_streams_only_cosets_of_orbit_representatives(self, monkeypatch):
-        # alt:9 is 2-transitive: the stabilizer of base[0] has two orbits,
-        # base[0] itself and the other 8 points, so 2 of the 9 level-0
-        # cosets (20,160 elements each) are coded; the whole group is 181,440.
+        # Every level of alt:9 is a 2-transitive Alt(m) whose base-point
+        # stabilizer is transitive on the other points down to m = 3, so each
+        # level codes one coset: 20,160 + 2,520 + 360 + 60 + 12 + 3, then
+        # Alt(3)'s two other cosets of one element each, and the identity.
+        # The whole group is 181,440 elements.  lin:3,4,GL·Frob,lines has
+        # 120,960 elements over six levels with orbits 21, 20, 16, 3, 3, 2.
         calls = Counter()
 
         def counting(images):
@@ -506,8 +521,10 @@ class TestPiSet:
             return _orbit_rgs(images)
 
         monkeypatch.setattr(groups, "_orbit_rgs", counting)
-        assert len(pi_set(build_group("alt:9"))) == 10440
-        assert calls["codes"] <= 40_320
+        for spec, size, coded in (("alt:9", 10440, 23_118), ("lin:3,4,GL·Frob,lines", 28815, 6_400)):
+            calls.clear()
+            assert len(pi_set(build_group(spec))) == size
+            assert calls["codes"] == coded
 
     def test_relabels_about_once_per_code(self, monkeypatch):
         # lin:3,4,GL·Frob,lines has 5 generators; closing the streamed codes
@@ -525,27 +542,31 @@ class TestPiSet:
 
     @pytest.mark.parametrize("source", ["sym:5", "wr:(sym:2,sym:3)", "psl2_11.gens", "m11.gens"])
     def test_realizing_images_of_base_point(self, source):
-        # R(Q) = {β^g : pi(g) = Q}, by brute force over the whole stream.
-        # If β lies in a block B of Q of prime size, R(Q) = B - {β}; and
-        # β^(g^-1) is in R(pi(g)) for every g.
+        # At each chain level i, over G^(i) (the elements of the whole stream
+        # that fix base[:i]) with β = base[i]: R(Q) = {β^g : g in G^(i),
+        # pi(g) = Q}, by brute force.  If β lies in a block B of Q of prime
+        # size, R(Q) = B - {β}; and β^(g^-1) is in R(pi(g)) for every g in
+        # G^(i).
         if source.endswith(".gens"):
             group = _packaged_group(source)
         else:
             group = build_group(source)
-        beta = group.base[0]
+        base = group.base
         elements = list(group.element_images())
-        realized = {}
-        for im in elements:
-            realized.setdefault(_orbit_rgs(im), set()).add(im[beta])
-        prime_blocks = 0
-        for code, points in realized.items():
-            block = {x for x, label in enumerate(code) if label == code[beta]}
-            if is_prime(len(block)):
-                prime_blocks += 1
-                assert points == block - {beta}
-        assert prime_blocks > 0
-        for im in elements:
-            assert im.index(beta) in realized[_orbit_rgs(im)]
+        for i, beta in enumerate(base):
+            level = [im for im in elements if all(im[b] == b for b in base[:i])]
+            realized = {}
+            for im in level:
+                realized.setdefault(_orbit_rgs(im), set()).add(im[beta])
+            prime_blocks = 0
+            for code, points in realized.items():
+                block = {x for x, label in enumerate(code) if label == code[beta]}
+                if is_prime(len(block)):
+                    prime_blocks += 1
+                    assert points == block - {beta}
+            assert prime_blocks > 0
+            for im in level:
+                assert im.index(beta) in realized[_orbit_rgs(im)]
 
 
 class TestSubgroups:
