@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .arith import factorize, is_prime, multiplicative_order, read_int
-from .errors import GeneratorFileError, GroupSpecError, PostconditionError
+from .errors import GeneratorFileError, GroupSpecError, PostconditionError, _quoted
 from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, normalize_projective, projective_points
 from .groups import PermGroup
 from .perms import Permutation
@@ -276,9 +276,9 @@ def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
         raise GroupSpecError("unsupported field order %r" % (q,))
     variant = variant.replace(".", "·")
     if variant not in LINEAR_VARIANTS:
-        raise GroupSpecError("unknown variant %r" % (variant,))
+        raise GroupSpecError("unknown variant %s" % _quoted(variant))
     if action not in LINEAR_ACTIONS:
-        raise GroupSpecError("unknown action %r" % (action,))
+        raise GroupSpecError("unknown action %s" % _quoted(action))
     field = gf(q)
     alpha = field.primitive_element()
 
@@ -353,7 +353,7 @@ def load_generators(path: str) -> PermGroup:
                     raise GeneratorFileError("%s:%d: %s" % (path, lineno, exc)) from None
             if degree is None:
                 raise GeneratorFileError(
-                    "%s:%d: expected 'degree n' header, got %r" % (path, lineno, text)
+                    "%s:%d: expected 'degree n' header, got %s" % (path, lineno, _quoted(text))
                 )
             if degree < 1:
                 raise GeneratorFileError("%s:%d: degree must be positive" % (path, lineno))
@@ -414,7 +414,7 @@ class GroupSpec:
 
 def _split_pair(body: str, context: str) -> tuple[str, str]:
     if not (body.startswith("(") and body.endswith(")")):
-        raise GroupSpecError("%s expects (spec,spec), got %r" % (context, body))
+        raise GroupSpecError("%s expects (spec,spec), got %s" % (context, _quoted(body)))
     if max(accumulate((ch == "(") - (ch == ")") for ch in body)) > SPEC_DEPTH_CAP:
         raise GroupSpecError("%s: spec nested deeper than %d levels" % (context, SPEC_DEPTH_CAP))
     inner = body[1:-1]
@@ -426,7 +426,7 @@ def _split_pair(body: str, context: str) -> tuple[str, str]:
             depth -= 1
         elif ch == "," and depth == 0:
             return inner[:pos], inner[pos + 1 :]
-    raise GroupSpecError("%s expects two comma-separated specs in %r" % (context, body))
+    raise GroupSpecError("%s expects two comma-separated specs in %s" % (context, _quoted(body)))
 
 
 def _read_int(text: str, what: str) -> int | None:
@@ -438,11 +438,13 @@ def _read_int(text: str, what: str) -> int | None:
 def _int_params(body: str, count: int, context: str) -> tuple[int, ...]:
     parts = body.split(",")
     if len(parts) != count:
-        raise GroupSpecError("%s expects %d integer parameters, got %r" % (context, count, body))
+        raise GroupSpecError(
+            "%s expects %d integer parameters, got %s" % (context, count, _quoted(body))
+        )
     values = tuple(_read_int(part, "%s: parameter" % context) for part in parts)
     for part, value in zip(parts, values):
         if value is None:
-            raise GroupSpecError("%s: non-integer parameter %r" % (context, part.strip()))
+            raise GroupSpecError("%s: non-integer parameter %s" % (context, _quoted(part.strip())))
     return values
 
 
@@ -451,7 +453,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     family, sep, body = stripped.partition(":")
     family = family.strip()
     if not sep:
-        raise GroupSpecError("missing ':' in group spec %r" % (stripped,))
+        raise GroupSpecError("missing ':' in group spec %s" % _quoted(stripped))
     if family in _NAMED:
         (n,) = _int_params(body, 1, family)
         return GroupSpec(family, (n,), stripped)
@@ -462,7 +464,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         cycles, at, deg = body.rpartition("@")
         degree = _read_int(deg, "cent: degree") if at else None
         if degree is None or degree < 0:
-            raise GroupSpecError("cent expects <cycles>@N, got %r" % (body,))
+            raise GroupSpecError("cent expects <cycles>@N, got %s" % _quoted(body))
         return GroupSpec(family, (cycles.strip(), degree), stripped)
     if family == "frob":
         return GroupSpec(family, _int_params(body, 2, family), stripped)
@@ -471,16 +473,16 @@ def parse_group_spec(text: str) -> GroupSpec:
     if family == "lin":
         parts = [part.strip() for part in body.split(",")]
         if len(parts) != 4:
-            raise GroupSpecError("lin expects D,Q,VARIANT,ACTION, got %r" % (body,))
+            raise GroupSpecError("lin expects D,Q,VARIANT,ACTION, got %s" % _quoted(body))
         d, q = (_read_int(part, "lin: parameter") for part in parts[:2])
         if d is None or q is None:
-            raise GroupSpecError("lin: non-integer dimension or order in %r" % (body,))
+            raise GroupSpecError("lin: non-integer dimension or order in %s" % _quoted(body))
         return GroupSpec(family, (d, q, parts[2], parts[3]), stripped)
     if family == "file":
         if not body:
             raise GroupSpecError("file expects a path")
         return GroupSpec(family, (body,), stripped)
-    raise GroupSpecError("unknown group family %r" % (family,))
+    raise GroupSpecError("unknown group family %s" % _quoted(family))
 
 
 def parse_element_spec(text: str) -> Permutation:
@@ -488,7 +490,7 @@ def parse_element_spec(text: str) -> Permutation:
     cycles, at, deg = text.strip().rpartition("@")
     degree = _read_int(deg, "element spec: degree") if at else None
     if degree is None or degree < 0:
-        raise GroupSpecError("element spec expects <cycles>@N, got %r" % (text,))
+        raise GroupSpecError("element spec expects <cycles>@N, got %s" % _quoted(text))
     _check_degree(degree)
     try:
         return Permutation.from_cycles(cycles.strip(), degree)

@@ -24,6 +24,8 @@ from .errors import PartitionFormatError, _quoted
 
 _IDENTITY = bytes(range(256))
 _TAILS = [bytes([label]) for label in range(256)]
+# Label types `bytes()` reads as the position loop does.
+_INT_TYPES = {int, bool}
 
 
 def _relabel(code: bytes, table: bytearray) -> bytes:
@@ -101,22 +103,20 @@ class SetPartition:
     rgs: bytes
 
     def __post_init__(self):
-        # Fast path: bytes, or a short tuple of plain ints in 0..255, is an
-        # RGS exactly when relabelling it by first use leaves it unchanged.
-        # Anything else gets the verdict and message of the position loop.
+        # Fast path: bytes, or a tuple of ints (bools count, as in the loop)
+        # in 0..255, is an RGS exactly when its labels in first-use order
+        # are 0, 1, 2, ...  Anything else gets the verdict and message of
+        # the position loop.
         rgs = code = self.rgs
-        if (
-            type(rgs) is tuple
-            and 0 < len(rgs) < 256
-            and set(map(type, rgs)) == {int}
-            and min(rgs) >= 0
-            and max(rgs) < 256
-        ):
-            code = bytes(rgs)
+        if type(rgs) is tuple and set(map(type, rgs)) <= _INT_TYPES:
+            try:
+                code = bytes(rgs)
+            except ValueError:  # a label below 0 or above 255
+                pass
         if not (
             type(code) is bytes
             and 0 < len(code) < 256
-            and _relabel(code, bytearray(256)) == code
+            and _IDENTITY.startswith(bytes(dict.fromkeys(code)))
         ):
             _check_rgs(rgs)
             code = bytes(rgs)

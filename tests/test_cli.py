@@ -166,6 +166,47 @@ class TestCheck:
         assert err.endswith(" characters)\n") and err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("a" * 5000, "missing ':' in group spec 'aaa"),
+            ("q" * 5000 + ":3", "unknown group family 'qqq"),
+            ("sym:" + "x" * 5000, "sym: non-integer parameter 'xxx"),
+            ("frob:" + "7," * 2500, "frob expects 2 integer parameters, got '7,7,"),
+            ("wr:" + "x" * 5000, "wr expects (spec,spec), got 'xxx"),
+            ("dsum:(" + "x" * 5000 + ")", "dsum expects two comma-separated specs in '(xxx"),
+            ("cent:" + "(1 2)" * 1000, "cent expects <cycles>@N, got '(1 2)"),
+            ("lin:" + "2," * 2500, "lin expects D,Q,VARIANT,ACTION, got '2,2,"),
+            ("lin:x,2,GL," + "p" * 5000, "lin: non-integer dimension or order in 'x,2,"),
+            ("lin:2,2," + "V" * 5000 + ",points", "unknown variant 'VVV"),
+            ("lin:2,2,GL," + "a" * 5000, "unknown action 'aaa"),
+        ],
+        ids=[
+            "missing-colon",
+            "family",
+            "parameter",
+            "parameter-count",
+            "pair",
+            "pair-comma",
+            "cent",
+            "lin-count",
+            "lin-integer",
+            "lin-variant",
+            "lin-action",
+        ],
+    )
+    def test_long_group_spec_quoted_in_part(self, capsys, spec, message):
+        code, out, err = run(capsys, "orbits", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s" % message)
+        assert err.endswith(" characters)\n") and err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("spec", ["sym", "nope:3", "sym:x", "wr:x", "cent:(1 2)", "lin:2,2,XX,points"])
+    def test_short_group_spec_quoted_whole(self, capsys, spec):
+        code, out, err = run(capsys, "orbits", spec)
+        assert code == 1 and out == ""
+        assert "characters)" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "spec", ["dsum:(sym:60,sym:10)", "dprod:(sym:8,sym:9)", "wr:(sym:9,sym:8)"]
     )
     def test_combined_degree_fails_before_any_build(self, capsys, monkeypatch, spec):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitlat.errors import PartitionFormatError
 from orbitlat.partitions import (
@@ -93,6 +93,16 @@ LABELS = st.one_of(
 )
 
 
+class _AsIndex:
+    """Not an int, though `bytes()` reads it as one through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def _verdict(check, rgs):
     """None when `check` accepts rgs, else its ValueError message."""
     try:
@@ -152,6 +162,41 @@ class TestCanonical:
             mutated = valid[:pos] + (label,) + valid[pos + 1 :]
         for rgs in (valid, mutated, arbitrary, ints):
             assert _verdict(SetPartition, rgs) == _verdict(_check_rgs, rgs), rgs
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(LABELS, max_size=12).map(tuple),
+            st.lists(st.integers(-1, 256), max_size=12).map(tuple),
+            st.lists(st.booleans(), max_size=12).map(tuple),
+            st.integers(250, 260).map(lambda n: tuple(i % 4 for i in range(n))),
+            st.lists(st.integers(0, 255), max_size=12).map(bytes),
+            st.lists(st.integers(0, 4), max_size=12).map(canonical).map(bytearray),
+            st.lists(st.integers(0, 4), max_size=12).map(canonical).map(list),
+        )
+    )
+    @example(())
+    @example(b"")
+    @example(tuple(range(255)))
+    @example(tuple(range(256)))
+    @example((0,) * 256)
+    @example((False, True))
+    @example((True,))
+    @example((0, -1))
+    @example((0, 256))
+    @example((0, 1.0))
+    @example(bytes((0, 2)))
+    @example(bytearray((0, 1, 0)))
+    @example([0, 1, 1])
+    @example((0, _AsIndex(1)))
+    def test_constructor_matches_the_loop(self, rgs):
+        # Every input, whichever path it takes: bools, negative and large
+        # ints, non-ints, empty, degree 256, bytearray and list input, and
+        # bytes that are not an RGS.  An accepted one keeps its labels.
+        verdict = _verdict(SetPartition, rgs)
+        assert verdict == _verdict(_check_rgs, rgs), rgs
+        if verdict is None:
+            assert SetPartition(rgs).rgs == bytes(rgs)
 
     def test_text_roundtrip(self):
         p = SetPartition.from_blocks([[0, 1], [2], [3]], 4)

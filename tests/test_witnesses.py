@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -28,24 +29,25 @@ from orbitlat.witnesses import (
 )
 
 
-BLOCKS_6_2 = bytes((0, 0, 1, 1, 2, 2))
+WREATH_PAIRS = [("sym:3", "sym:3"), ("cyclic:2", "sym:4"), ("sym:4", "cyclic:2")]
+
+
+def _tilde(code, dx, dy):
+    """The induced block code the wreath criterion reads for this code."""
+    return witnesses._wreath_verdict(code, symmetric_group(dx), symmetric_group(dy))[3]
 
 
 class TestBlockHelpers:
     def test_induced_aligned(self):
         part = SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]], 6)
-        assert witnesses._induced_code(part.code(), BLOCKS_6_2, 2) == SetPartition(bytes(range(3))).code()
+        assert _tilde(part.code(), 2, 3) == SetPartition(bytes(range(3))).code()
 
     def test_induced_crossing(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
-        assert witnesses._induced_code(part.code(), BLOCKS_6_2, 2) == SetPartition.from_blocks(
-            [[0, 1], [2]], 3
-        ).code()
+        assert _tilde(part.code(), 2, 3) == SetPartition.from_blocks([[0, 1], [2]], 3).code()
 
     def test_induced_single_block(self):
-        assert witnesses._induced_code(
-            SetPartition(bytes(6)).code(), bytes((0, 0, 0, 1, 1, 1)), 3
-        ) == SetPartition(bytes(2)).code()
+        assert _tilde(SetPartition(bytes(6)).code(), 3, 2) == SetPartition(bytes(2)).code()
 
     @pytest.mark.parametrize("degree,dx", [(8, 2), (8, 4), (9, 3)])
     def test_induced_matches_oracle_join(self, degree, dx):
@@ -54,11 +56,10 @@ class TestBlockHelpers:
         blocks = SetPartition.from_blocks(
             [range(y, y + dx) for y in range(0, degree, dx)], degree
         )
-        factor = witnesses._factor(symmetric_group(dx))
-        assert witnesses._block_code(factor, degree, dx) == blocks.code()
+        g, h = symmetric_group(dx), symmetric_group(degree // dx)
         for part in all_partitions(degree):
             want = bytes(_join_oracle(part, blocks).rgs[::dx])
-            assert witnesses._induced_code(part.code(), blocks.code(), dx) == want, str(part)
+            assert witnesses._wreath_verdict(part.code(), g, h)[3] == want, str(part)
 
     def test_restricted(self):
         part = SetPartition.from_blocks([[0, 3], [1, 2], [4, 5]], 6)
@@ -195,6 +196,100 @@ class TestWreathWitness:
             assert k in wreath and k.orbit_partition() == part
 
 
+# Wreath products whose every partition the prefix-state tests decide.
+STATE_PAIRS = WREATH_PAIRS + [("dihedral:4", "cyclic:2"), ("cyclic:3", "sym:3")]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(inner, outer):
+    """(g, h, codes, verdicts) for a wreath product: every code of its degree
+    in lex order, with (c1, c2, c4, tilde) read without the criterion's code.
+    tilde is the join with the block partition by the closure oracle; c1 and
+    c2 are membership in pi(H) and pi(G); c4 searches G's whole element list
+    for a translation between every two blocks of one induced part.  The
+    overall verdict is also checked against membership in pi(W)."""
+    g, h = build_group(inner), build_group(outer)
+    dx, dy = g.degree, h.degree
+    elements = list(g.element_images())
+    g_codes, h_codes = pi_set(g).codes, pi_set(h).codes
+    w_codes = pi_set(wreath_imprimitive(g, h)).codes
+    blocks = SetPartition.from_blocks([range(y, y + dx) for y in range(0, dx * dy, dx)], dx * dy)
+    codes, verdicts = [], []
+    for part in all_partitions(dx * dy):
+        code = part.code()
+        tilde = bytes(_join_oracle(part, blocks).rgs[::dx])
+        at = [code[y * dx : (y + 1) * dx] for y in range(dy)]
+        c1 = tilde in h_codes
+        c2 = all(SetPartition.from_blocks(_blocks_of(piece), dx).rgs in g_codes for piece in at)
+        c4 = all(
+            any(all(at[z][c[x]] == at[y][x] for x in range(dx)) for c in elements)
+            for y, z in itertools.combinations(range(dy), 2)
+            if tilde[y] == tilde[z]
+        )
+        assert (c1 and c2 and c4) == (code in w_codes), str(part)
+        codes.append(code)
+        verdicts.append((c1, c2, c4, tilde))
+    return g, h, codes, verdicts
+
+
+def _blocks_of(labels):
+    out = {}
+    for x, label in enumerate(labels):
+        out.setdefault(label, []).append(x)
+    return list(out.values())
+
+
+class TestPrefixState:
+    """The wreath decider keeps one prefix state per G record; whatever the
+    order of the codes, its verdicts equal the reference."""
+
+    @pytest.mark.parametrize("order", ["lex", "reversed", "shuffled"])
+    @pytest.mark.parametrize("inner,outer", STATE_PAIRS)
+    def test_verdicts_match_reference(self, inner, outer, order):
+        g, h, codes, verdicts = _reference(inner, outer)
+        cases = list(zip(codes, verdicts))
+        if order == "reversed":
+            cases.reverse()
+        elif order == "shuffled":
+            random.Random(20261021).shuffle(cases)
+        witnesses._factor.cache_clear()
+        for code, want in cases:
+            assert witnesses._wreath_verdict(code, g, h) == want, code
+            c = wreath_partition_conditions(SetPartition._trusted(code), g, h)
+            assert (c.c1, c.c2, c.c4) == want[:3]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            # Same G, two H of one degree: the state must be keyed by H.
+            (("cyclic:2", "sym:3"), ("cyclic:2", "cyclic:3")),
+            (("sym:3", "sym:3"), ("sym:3", "cyclic:3")),
+            # Same H, two G of one degree.
+            (("sym:3", "cyclic:2"), ("cyclic:3", "cyclic:2")),
+        ],
+    )
+    def test_interleaved_pairs(self, first, second):
+        # One G object (or H object) serves both pairs, and the codes of the
+        # two pairs alternate.
+        g1, h1 = build_group(first[0]), build_group(first[1])
+        g2 = g1 if first[0] == second[0] else build_group(second[0])
+        h2 = h1 if first[1] == second[1] else build_group(second[1])
+        refs = []
+        for g, h, (inner, outer) in ((g1, h1, first), (g2, h2, second)):
+            _, _, codes, verdicts = _reference(inner, outer)
+            refs.append((g, h, dict(zip(codes, verdicts))))
+        witnesses._factor.cache_clear()
+        for code in refs[0][2]:
+            for g, h, want in refs:
+                assert witnesses._wreath_verdict(code, g, h) == want[code], code
+
+    def test_reports_are_shared(self):
+        g, h = build_group("cyclic:2"), build_group("cyclic:2")
+        parts = list(all_partitions(4))
+        reports = {id(wreath_partition_conditions(p, g, h)) for p in parts}
+        assert reports <= set(map(id, witnesses._REPORTS.values()))
+
+
 class TestFactorCodes:
     """The wreath criterion reads each factor's pi-set from a small cache."""
 
@@ -244,8 +339,28 @@ class TestFactorCodes:
         }
         assert record.in_pi == {bytes((0, 0)): True, bytes((1, 2)): True, bytes((2, 1)): True}
         assert sorted(record.realizing) == [bytes((0, 0)), bytes((0, 1))]
-        assert record.block_codes == {6: bytes((0, 0, 1, 1, 2, 2))}
         assert list(witnesses._factor(h).realizing) == [bytes((0, 1, 1))]
+        # The prefix state sits in one slot of G's record, keyed by H and
+        # the first two blocks.  Its last block 2,1 touches the part of
+        # block 1 only, so the induced code is 0,1,1 and block 2 is aligned
+        # with block 1.
+        state = record.prefix
+        assert state.h_group is h and state.prefix == bytes((0, 0, 1, 2))
+        assert state.closed == {bytes((1, 1)): (True, bytes((0, 1, 1)), (1,))}
+        assert witnesses._factor(h).prefix is None
+        # Every code of degree 6 leaves one state per G record, not one per
+        # prefix: the last prefix's.
+        for part in all_partitions(6):
+            wreath_partition_conditions(part, factors[-1], h)
+        held = [v for v in vars(record).values() if isinstance(v, witnesses._Prefix)]
+        held += [
+            v
+            for memo in vars(record).values()
+            if isinstance(memo, dict)
+            for v in memo.values()
+            if isinstance(v, witnesses._Prefix)
+        ]
+        assert held == [record.prefix] and record.prefix.prefix == bytes((0, 1, 2, 3))
 
     def test_factor_order_above_the_default_cap(self, monkeypatch):
         # The witness paths stream a factor whatever its order: witness-wreath
@@ -280,9 +395,6 @@ class TestPostconditions:
         done = run_optimized(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False constructed element does not realize {1,2,3,4}\n"
-
-
-WREATH_PAIRS = [("sym:3", "sym:3"), ("cyclic:2", "sym:4"), ("sym:4", "cyclic:2")]
 
 
 class TestPrunedSearch:
