@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 from math import gcd
 
@@ -33,19 +33,6 @@ from .partitions import (
     meet_codes,
 )
 from .perms import Permutation, _image_order, _orbit_rgs
-
-_REPORT_FIELDS = (
-    "group",
-    "degree",
-    "order",
-    "pi_size",
-    "join_coherent",
-    "meet_coherent",
-    "is_chain",
-    "join_witness",
-    "meet_witness",
-    "ms_elapsed",
-)
 
 
 @dataclass
@@ -70,7 +57,7 @@ class CoherenceReport:
             return value
 
         return json.dumps(
-            {name: render(getattr(self, name)) for name in _REPORT_FIELDS}
+            {f.name: render(getattr(self, f.name)) for f in fields(self)}
         )
 
 

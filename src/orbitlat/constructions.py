@@ -15,7 +15,7 @@ from math import factorial, gcd, prod
 
 from .arith import factorize, is_prime, multiplicative_order, read_int
 from .errors import GeneratorFileError, GroupSpecError, PostconditionError, _quoted
-from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, normalize_projective, projective_points
+from .gf import SUPPORTED_ORDERS, gf, nonzero_vectors, projective_points
 from .groups import PermGroup
 from .perms import Permutation
 
@@ -225,32 +225,19 @@ def gamma_group(p: int, a: int) -> PermGroup:
     return _affine(n, (p ** (a - 1) + 1,), p ** (a + 1))
 
 
-def _mat_vec(field, v, m):
-    d = len(v)
-    out = []
-    for jj in range(d):
-        s = 0
-        for ii in range(d):
-            s = field.add(s, field.mul(v[ii], m[ii][jj]))
-        out.append(s)
-    return tuple(out)
+def _dot(field, u, w) -> int:
+    add, mul = field.add_table, field.mul_table
+    s = 0
+    for a, b in zip(u, w):
+        s = add[s][mul[a][b]]
+    return s
 
 
-def _mat_inv(field, m):
-    d = len(m)
-    aug = [list(row) + [1 if ii == jj else 0 for jj in range(d)] for ii, row in enumerate(m)]
-    for col in range(d):
-        pivot = next(rr for rr in range(col, d) if aug[rr][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for rr in range(d):
-            if rr != col and aug[rr][col]:
-                factor = aug[rr][col]
-                aug[rr] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(aug[rr], aug[col])
-                ]
-    return tuple(tuple(row[d:]) for row in aug)
+def _induced(maps, blocks):
+    """The action of each map on `blocks`, a list of point sets it permutes:
+    block k goes to the index of the block that is its image."""
+    where = {block: k for k, block in enumerate(blocks)}
+    return [[where[frozenset(m[x] for x in block)] for block in blocks] for m in maps]
 
 
 def _linear_orders(d: int, q: int) -> tuple[int, int, int, int]:
@@ -263,12 +250,14 @@ def _linear_orders(d: int, q: int) -> tuple[int, int, int, int]:
 
 def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
     """GL_d(q) or SL_d(q), optionally extended by the Frobenius field
-    automorphism, acting on nonzero row vectors, on projective points, or on
-    hyperplanes (the dual projective action via inverse-transpose).
+    automorphism, acting on nonzero row vectors, on lines through 0 or on
+    hyperplanes.
 
-    Point sets are ordered lexicographically by coordinate codes, projective
-    representatives normalized to leading coordinate 1, so every permutation
-    here is reproducible.
+    The group acts on vectors by v -> vm and entrywise Frobenius; its action
+    on lines is induced on the sets {cw : c != 0}, and its action on
+    hyperplanes on the sets of lines orthogonal to w, both for w in the
+    order of `projective_points`.  Vectors are ordered lexicographically by
+    coordinate codes, so every permutation here is reproducible.
     """
     if d not in (2, 3):
         raise GroupSpecError("dimension must be 2 or 3, got %r" % (d,))
@@ -279,6 +268,8 @@ def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
         raise GroupSpecError("unknown variant %s" % _quoted(variant))
     if action not in LINEAR_ACTIONS:
         raise GroupSpecError("unknown action %s" % _quoted(action))
+    degree = q**d - 1 if action == "points" else (q**d - 1) // (q - 1)
+    _check_degree(degree)
     field = gf(q)
     alpha = field.primitive_element()
 
@@ -286,41 +277,36 @@ def linear_group_action(d: int, q: int, variant: str, action: str) -> PermGroup:
     for k in range(field.e):
         t = [[1 if ii == jj else 0 for jj in range(d)] for ii in range(d)]
         t[0][1] = field.pow(alpha, k)
-        mats.append(tuple(tuple(row) for row in t))
+        mats.append(t)
     cyc = [[0] * d for _ in range(d)]
     for ii in range(d):
         cyc[ii][(ii + 1) % d] = 1
     if d % 2 == 0:
         cyc[d - 1][0] = field.neg(1)  # restore determinant 1
-    mats.append(tuple(tuple(row) for row in cyc))
+    mats.append(cyc)
     if variant.startswith("GL") and q > 2:
         diag = [[1 if ii == jj else 0 for jj in range(d)] for ii in range(d)]
         diag[0][0] = alpha
-        mats.append(tuple(tuple(row) for row in diag))
+        mats.append(diag)
 
-    if action == "points":
-        domain = nonzero_vectors(d, q)
-        normalize = lambda v: v
-    else:
-        domain = projective_points(d, q)
-        normalize = lambda v: normalize_projective(field, v)
-    _check_degree(len(domain))
-    index = {v: k for k, v in enumerate(domain)}
-
-    gens = []
-    for m in mats:
-        act = _mat_inv(field, m) if action == "hyperplanes" else m
-        if action == "hyperplanes":
-            act = tuple(zip(*act))  # transpose
-        gens.append(Permutation(tuple(index[normalize(_mat_vec(field, v, act))] for v in domain)))
+    # Int lists, not Permutations: GF(7)^3 has 342 nonzero vectors, more
+    # points than a Permutation carries.
+    vecs = nonzero_vectors(d, q)
+    index = {v: k for k, v in enumerate(vecs)}
+    maps = [[index[tuple(_dot(field, v, col) for col in zip(*m))] for v in vecs] for m in mats]
     if variant.endswith("Frob"):
-        gens.append(
-            Permutation(
-                tuple(index[normalize(tuple(field.frobenius(c) for c in v))] for v in domain)
-            )
-        )
+        maps.append([index[tuple(map(field.frobenius, v))] for v in vecs])
+    if action != "points":
+        reps = projective_points(d, q)
+        lines = [
+            frozenset(index[tuple(field.mul(c, x) for x in w)] for c in range(1, q)) for w in reps
+        ]
+        maps = _induced(maps, lines)
+    if action == "hyperplanes":
+        planes = [frozenset(k for k, u in enumerate(reps) if not _dot(field, u, w)) for w in reps]
+        maps = _induced(maps, planes)
 
-    group = PermGroup(gens, len(domain))
+    group = PermGroup([Permutation(m) for m in maps], degree)
     gl, sl, pgl, psl = _linear_orders(d, q)
     expected = (gl if variant.startswith("GL") else sl) if action == "points" else (
         pgl if variant.startswith("GL") else psl
@@ -346,21 +332,16 @@ def load_generators(path: str) -> PermGroup:
             continue
         if degree is None:
             parts = text.split()
-            if len(parts) == 2 and parts[0] == "degree":
-                try:
+            try:
+                if len(parts) == 2 and parts[0] == "degree":
                     degree = _read_int(parts[1], "degree")
-                except GroupSpecError as exc:
-                    raise GeneratorFileError("%s:%d: %s" % (path, lineno, exc)) from None
-            if degree is None:
-                raise GeneratorFileError(
-                    "%s:%d: expected 'degree n' header, got %s" % (path, lineno, _quoted(text))
-                )
-            if degree < 1:
-                raise GeneratorFileError("%s:%d: degree must be positive" % (path, lineno))
-            if degree > DEGREE_CAP:
-                raise GeneratorFileError(
-                    "%s:%d: degree %d exceeds cap %d" % (path, lineno, degree, DEGREE_CAP)
-                )
+                if degree is None:
+                    raise GeneratorFileError(
+                        "%s:%d: expected 'degree n' header, got %s" % (path, lineno, _quoted(text))
+                    )
+                _check_degree(degree)
+            except GroupSpecError as exc:
+                raise GeneratorFileError("%s:%d: %s" % (path, lineno, exc)) from None
             continue
         try:
             gens.append(Permutation.from_cycles(text, degree))
@@ -461,14 +442,8 @@ def parse_group_spec(text: str) -> GroupSpec:
         left, right = _split_pair(body, family)
         return GroupSpec(family, (parse_group_spec(left), parse_group_spec(right)), stripped)
     if family == "cent":
-        cycles, at, deg = body.rpartition("@")
-        degree = _read_int(deg, "cent: degree") if at else None
-        if degree is None or degree < 0:
-            raise GroupSpecError("cent expects <cycles>@N, got %s" % _quoted(body))
-        return GroupSpec(family, (cycles.strip(), degree), stripped)
-    if family == "frob":
-        return GroupSpec(family, _int_params(body, 2, family), stripped)
-    if family == "gamma":
+        return GroupSpec(family, _split_cycles(body, family), stripped)
+    if family in ("frob", "gamma"):
         return GroupSpec(family, _int_params(body, 2, family), stripped)
     if family == "lin":
         parts = [part.strip() for part in body.split(",")]
@@ -485,26 +460,26 @@ def parse_group_spec(text: str) -> GroupSpec:
     raise GroupSpecError("unknown group family %s" % _quoted(family))
 
 
+def _split_cycles(text: str, context: str) -> tuple[str, int]:
+    """``<cycles>@N`` as (cycles, N); N is not yet checked against the cap."""
+    cycles, at, deg = text.rpartition("@")
+    degree = _read_int(deg, "%s: degree" % context) if at else None
+    if degree is None or degree < 0:
+        raise GroupSpecError("%s expects <cycles>@N, got %s" % (context, _quoted(text)))
+    return cycles.strip(), degree
+
+
+def _cycles_element(cycles: str, degree: int, context: str) -> Permutation:
+    _check_degree(degree)
+    try:
+        return Permutation.from_cycles(cycles, degree)
+    except ValueError as exc:
+        raise GroupSpecError("%s: %s" % (context, exc)) from exc
+
+
 def parse_element_spec(text: str) -> Permutation:
     """Parse ``<cycles>@N`` into a permutation of degree N."""
-    cycles, at, deg = text.strip().rpartition("@")
-    degree = _read_int(deg, "element spec: degree") if at else None
-    if degree is None or degree < 0:
-        raise GroupSpecError("element spec expects <cycles>@N, got %s" % _quoted(text))
-    _check_degree(degree)
-    try:
-        return Permutation.from_cycles(cycles.strip(), degree)
-    except ValueError as exc:
-        raise GroupSpecError("element spec: %s" % exc) from exc
-
-
-def _build_cent(cycles: str, degree: int) -> PermGroup:
-    _check_degree(degree)
-    try:
-        g = Permutation.from_cycles(cycles, degree)
-    except ValueError as exc:
-        raise GroupSpecError("cent: %s" % exc) from exc
-    return centralizer_in_sym(g)
+    return _cycles_element(*_split_cycles(text, "element spec"), "element spec")
 
 
 _BUILDERS = {
@@ -515,7 +490,7 @@ _BUILDERS = {
     "dsum": lambda a, b: direct_sum_action(a.build(), b.build()),
     "dprod": lambda a, b: product_action(a.build(), b.build()),
     "wr": lambda a, b: wreath_imprimitive(a.build(), b.build()),
-    "cent": _build_cent,
+    "cent": lambda cycles, degree: centralizer_in_sym(_cycles_element(cycles, degree, "cent")),
     "frob": frobenius_cyclic,
     "gamma": gamma_group,
     "lin": linear_group_action,

@@ -46,17 +46,8 @@ class Field:
         row = self.add_table[a]
         return row.index(0)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.mul_table[a].index(1)
-
     def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
+        """a**k for k >= 0."""
         out = 1
         base = a
         while k:
@@ -170,11 +161,3 @@ def projective_points(d: int, q: int) -> list[tuple[int, ...]]:
     if len(pts) != (q**d - 1) // (q - 1):
         raise PostconditionError("%d projective points in GF(%d)^%d" % (len(pts), q, d))
     return pts
-
-
-def normalize_projective(field: Field, v: tuple[int, ...]) -> tuple[int, ...]:
-    lead = next((c for c in v if c), 0)
-    if lead == 0:
-        raise ValueError("zero vector has no projective representative")
-    s = field.inv(lead)
-    return tuple(field.mul(s, c) for c in v)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import random
 from math import factorial
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitlat.constructions import (
     DEGREE_CAP,
+    LINEAR_ACTIONS,
+    LINEAR_VARIANTS,
     alternating_group,
     build_group,
     centralizer_in_sym,
@@ -31,6 +34,7 @@ from orbitlat.errors import (
     GroupSpecError,
     PartitionFormatError,
 )
+from orbitlat.gf import SUPPORTED_ORDERS
 from orbitlat.groups import PermGroup
 from orbitlat.partitions import SetPartition
 from orbitlat.perms import Permutation
@@ -247,6 +251,34 @@ class TestLinear:
         with pytest.raises(GroupSpecError):
             linear_group_action(2, 9, "GL", "points")  # degree 80 over the cap
 
+    def test_grid_digest(self):
+        """Generator images and order of every group the grid builds, and
+        type and message of every refusal, pinned as one digest.  The grid
+        spans unsupported dimensions and orders, an unknown variant and
+        action, the "." spelling of the Frobenius variants, and domains over
+        the degree cap."""
+        lines = []
+        built = 0
+        grid = itertools.product(
+            range(1, 5),
+            SUPPORTED_ORDERS + (6, 11),
+            LINEAR_VARIANTS + ("GL.Frob", "PGL"),
+            LINEAR_ACTIONS + ("flags",),
+        )
+        for d, q, variant, action in grid:
+            head = "%d,%d,%s,%s" % (d, q, variant, action)
+            try:
+                g = linear_group_action(d, q, variant, action)
+            except Exception as exc:
+                lines.append("%s %s %s" % (head, type(exc).__name__, exc))
+            else:
+                built += 1
+                images = " ".join(p.images.hex() for p in g.generators)
+                lines.append("%s %s %d" % (head, images, g.order))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (built, len(lines) - built) == (165, 699)
+        assert digest == "9ffe5c4d5a7037d39cc9197df8a7779f7a8e26da3bb40b7f39319a67add78ff1"
+
 
 class TestGeneratorFiles:
     def test_round_trip(self, tmp_path):
@@ -282,6 +314,21 @@ class TestGeneratorFiles:
         path.write_text(content)
         with pytest.raises(GeneratorFileError):
             load_generators(path)
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("degree 0", "degree must be at least 1, got 0"),
+            ("degree -3", "degree must be at least 1, got -3"),
+            ("degree 65", "degree 65 exceeds cap 64"),
+        ],
+    )
+    def test_header_degree_out_of_range(self, tmp_path, header, message):
+        path = tmp_path / "bad.gens"
+        path.write_text("# comment\n" + header + "\n(1 2)\n")
+        with pytest.raises(GeneratorFileError) as info:
+            load_generators(path)
+        assert str(info.value) == "%s:2: %s" % (path, message)
 
     def test_missing_file(self):
         with pytest.raises(GeneratorFileError):
